@@ -108,8 +108,19 @@ run sim-gate cargo run --release --offline -p sno-bench --bin repro -- \
 # needs at this scale, so accidentally materializing the corpus inside
 # the streamed path trips the limit. ulimit lives in the child shell
 # so it does not leak into later stages.
+#
+# Both address-space gates run with MALLOC_ARENA_MAX=1. `ulimit -v`
+# counts virtual address space, and glibc reserves 64 MiB of it for
+# each extra malloc arena it hands a worker thread, filled or not. The
+# 1-core reference box that sized these ceilings creates no worker
+# arenas; on a 2-vCPU box the paper-scale run's VmPeak is ~350 MB with
+# default arenas vs ~49 MB with one, for the same ~29 MB resident peak
+# (VmHWM), and the memory gate's ~346 MB vs ~21 MB. One arena makes the
+# ceilings count data again (the materialized path still aborts under
+# the memory gate's); the ceilings, scales and budgets themselves are
+# unchanged.
 run memory-gate bash -c \
-    'ulimit -v 24576; exec ./target/release/repro table1 --scale 2e-2 --chunk 4096 >/dev/null'
+    'export MALLOC_ARENA_MAX=1; ulimit -v 24576; exec ./target/release/repro table1 --scale 2e-2 --chunk 4096 >/dev/null'
 
 # Paper-scale gate: the streamed pipeline drives a paper-sized corpus
 # end to end — chunked generation, parallel two-pass identification,
@@ -123,7 +134,7 @@ SNO_CI_SCALE="${SNO_CI_SCALE:-1e-1}"
 SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-600}"
 SNO_CI_ULIMIT_KB="${SNO_CI_ULIMIT_KB:-81920}"
 run paper-scale-gate bash -c \
-    "ulimit -v ${SNO_CI_ULIMIT_KB}; exec timeout ${SNO_CI_BUDGET_S} \
+    "export MALLOC_ARENA_MAX=1; ulimit -v ${SNO_CI_ULIMIT_KB}; exec timeout ${SNO_CI_BUDGET_S} \
      ./target/release/repro table1 --scale ${SNO_CI_SCALE} --chunk 4096 --progress 2000000 >/dev/null"
 
 write_timings

@@ -205,10 +205,11 @@ fn run_bench_mode(config: SynthConfig, chunk: Option<usize>, out_path: &str) {
     report.push(pipeline_group);
 
     // The online identification service: end-to-end chunked ingest into
-    // a fresh identifier, full-replay snapshot latency on the loaded
-    // state (the pre-incremental reference), and steady-state snapshot
-    // latency — what a monitoring poll pays per report once the accept
-    // state is warm. The steady/full ratio is the incremental payoff.
+    // a fresh identifier, the full-replay reference (`run_streamed`
+    // over the same corpus encoded once — what every snapshot cost
+    // before incremental acceptance), and steady-state snapshot latency
+    // — what a monitoring poll pays per report once the accept state is
+    // warm. The steady/full ratio is the incremental payoff.
     let mut group = bench_group("online");
     group.sample_size(5).warm_up_ms(50.0).sample_budget_ms(50.0);
     group.bench_function("online_ingest", |b| {
@@ -219,8 +220,12 @@ fn run_bench_mode(config: SynthConfig, chunk: Option<usize>, out_path: &str) {
         operator_latencies: true,
         ..StreamOptions::default()
     };
-    group.bench_function("online_snapshot", |b| {
-        b.iter(|| std::hint::black_box(loaded.snapshot_full(online_opts)))
+    let encoded = sno_types::codec::encode_records(records);
+    let replay = Pipeline::with_threads(config.threads);
+    group.bench_function("run_streamed_encoded_replay", |b| {
+        b.iter(|| {
+            std::hint::black_box(replay.run_streamed(|| encoded.chunks(chunk_len), online_opts))
+        })
     });
     let mut steady = loaded.clone();
     let _ = steady.snapshot(online_opts);

@@ -1,8 +1,9 @@
 //! Shared, lazily-built corpora and pipeline state for the experiments.
 
-use sno_core::pipeline::{Pipeline, PipelineReport};
+use sno_core::pipeline::Pipeline;
 use sno_core::stream::{StreamOptions, StreamedReport};
 use sno_synth::{AtlasCorpus, AtlasGenerator, MlabCorpus, MlabGenerator, SynthConfig};
+use sno_types::chunk::RecordChunks as _;
 use sno_types::{Operator, RecordBatch};
 use std::sync::OnceLock;
 
@@ -23,11 +24,11 @@ pub const FIG4A_OPS: [Operator; 5] = [
 /// The figure regenerates the five operators of interest over a
 /// one-year window with a raised session floor, so its corpus differs
 /// from the shared [`ReproContext::mlab`] one — cached here the same
-/// way, built through the chunked generator and the columnar pipeline.
+/// way, built through the chunked generator and [`Pipeline::run`].
 pub struct Fig4aState {
     /// The regenerated corpus as a struct-of-arrays batch.
     pub batch: RecordBatch,
-    /// Per-record acceptance from the columnar pipeline run.
+    /// Per-record acceptance from the pipeline run.
     pub accepted: Vec<Option<Operator>>,
 }
 
@@ -59,7 +60,7 @@ pub struct ReproContext {
     chunk: Option<usize>,
     progress_every: usize,
     mlab: OnceLock<MlabCorpus>,
-    report: OnceLock<PipelineReport>,
+    report: OnceLock<StreamedReport>,
     streamed: OnceLock<StreamedReport>,
     atlas: OnceLock<AtlasCorpus>,
     fig4a: OnceLock<Fig4aState>,
@@ -131,8 +132,9 @@ impl ReproContext {
             .get_or_init(|| MlabGenerator::new(self.config.clone()).generate())
     }
 
-    /// The pipeline report over the NDT corpus.
-    pub fn report(&self) -> &PipelineReport {
+    /// The pipeline report over the materialized NDT corpus, with the
+    /// dense per-record acceptance vector.
+    pub fn report(&self) -> &StreamedReport {
         self.report
             .get_or_init(|| Pipeline::with_threads(self.config.threads).run(&self.mlab().records))
     }
@@ -160,19 +162,18 @@ impl ReproContext {
 
     /// The Figure 4a corpus and acceptance (generated and identified on
     /// first call): five operators over the figure's one-year window,
-    /// streamed through the chunked generator into a columnar batch and
-    /// run through the columnar pipeline at this context's thread and
-    /// chunk settings.
+    /// collected from the chunked generator and run through
+    /// [`Pipeline::run`] at this context's thread and chunk settings.
     pub fn fig4a(&self) -> &Fig4aState {
         self.fig4a.get_or_init(|| {
             let generator = MlabGenerator::new(fig4a_config(self.config()));
-            let batch = RecordBatch::from_chunks(
-                generator.generate_chunks_for(&FIG4A_OPS, self.chunk_len()),
-            );
-            let report = Pipeline::with_threads(self.threads()).run_batch(&batch);
+            let records = generator
+                .generate_chunks_for(&FIG4A_OPS, self.chunk_len())
+                .collect_records();
+            let report = Pipeline::with_threads(self.threads()).run(&records);
             Fig4aState {
-                batch,
-                accepted: report.accepted,
+                batch: RecordBatch::from_records(&records),
+                accepted: report.accepted.unwrap_or_default(),
             }
         })
     }

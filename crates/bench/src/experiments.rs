@@ -74,7 +74,24 @@ pub fn run_experiment(ctx: &ReproContext, id: &str) -> Option<String> {
         .map(|(_, _, f)| f(ctx))
 }
 
-/// Table 1 rendering shared by the materialized and streamed paths.
+/// The report the catalog experiments render: the streamed one when the
+/// context streams, the materialized one otherwise (byte-identical in
+/// every rendered field).
+fn identified(ctx: &ReproContext) -> &sno_core::StreamedReport {
+    if ctx.chunk().is_some() {
+        ctx.streamed()
+    } else {
+        ctx.report()
+    }
+}
+
+/// Per-record acceptance over `ctx.mlab()`'s records: the dense vector
+/// `Pipeline::run` always keeps.
+fn mlab_accepted(ctx: &ReproContext) -> &[Option<Operator>] {
+    ctx.report().accepted.as_deref().unwrap_or_default()
+}
+
+/// Table 1 rendering.
 fn catalog_table(catalog: &[(Operator, u64)], scale: f64) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -97,25 +114,13 @@ fn catalog_table(catalog: &[(Operator, u64)], scale: f64) -> String {
 /// function and compares the two byte-for-byte.
 pub fn streamed_report_text(report: &sno_core::StreamedReport, scale: f64) -> String {
     let mut out = catalog_table(&report.catalog, scale);
-    out.push_str(&census_text(
-        &report.mapping,
-        &report.profiles,
-        &report.strict,
-        report.default_threshold,
-        report.accepted_count(),
-        report.records,
-    ));
+    out.push_str(&census_text(report));
     out
 }
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn table1(ctx: &ReproContext) -> String {
-    let catalog = if ctx.chunk().is_some() {
-        &ctx.streamed().catalog
-    } else {
-        &ctx.report().catalog
-    };
-    catalog_table(catalog, ctx.config().scale)
+    catalog_table(&identified(ctx).catalog, ctx.config().scale)
 }
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
@@ -142,7 +147,6 @@ fn table2(ctx: &ReproContext) -> String {
     out
 }
 
-// sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn table3(_ctx: &ReproContext) -> String {
     let mapping = sno_core::map_asns();
     let mut out = String::new();
@@ -160,15 +164,16 @@ fn table3(_ctx: &ReproContext) -> String {
     out
 }
 
-/// Figure 1 rendering shared by the materialized and streamed paths.
-fn census_text(
-    mapping: &sno_core::AsnMapping,
-    profiles: &[sno_core::validate::AsnProfile],
-    strict: &sno_core::StrictOutcome,
-    default_threshold: f64,
-    accepted: usize,
-    total: usize,
-) -> String {
+/// Figure 1 rendering: the stage census of one report.
+fn census_text(report: &sno_core::StreamedReport) -> String {
+    let sno_core::StreamedReport {
+        mapping,
+        profiles,
+        strict,
+        default_threshold,
+        records,
+        ..
+    } = report;
     let mut out = String::new();
     let _ = writeln!(out, "stage 1-2 candidates: {}", mapping.candidates.len());
     let _ = writeln!(
@@ -192,33 +197,14 @@ fn census_text(
         out,
         "stage 3c default relaxed threshold: {default_threshold:.1} ms (paper: 527 ms)"
     );
-    let _ = writeln!(out, "stage 4  records accepted: {accepted} of {total}");
+    let accepted = report.accepted_count();
+    let _ = writeln!(out, "stage 4  records accepted: {accepted} of {records}");
     out
 }
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig1(ctx: &ReproContext) -> String {
-    if ctx.chunk().is_some() {
-        let report = ctx.streamed();
-        census_text(
-            &report.mapping,
-            &report.profiles,
-            &report.strict,
-            report.default_threshold,
-            report.accepted_count(),
-            report.records,
-        )
-    } else {
-        let report = ctx.report();
-        census_text(
-            &report.mapping,
-            &report.profiles,
-            &report.strict,
-            report.default_threshold,
-            report.accepted.iter().flatten().count(),
-            report.accepted.len(),
-        )
-    }
+    census_text(identified(ctx))
 }
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
@@ -345,7 +331,7 @@ fn fig3c(ctx: &ReproContext) -> String {
             .unwrap_or(&empty);
         analysis::latency_table(by_op)
     } else {
-        analysis::latency_by_operator(&ctx.mlab().records, ctx.report())
+        analysis::latency_by_operator(&ctx.mlab().records, mlab_accepted(ctx))
     };
     let mut out = String::new();
     let _ = writeln!(
@@ -401,8 +387,9 @@ fn fig4a_row(
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig4a(ctx: &ReproContext) -> String {
     // The figure's corpus and acceptance are cached on the context
-    // (chunked generation into a columnar batch, columnar pipeline at
-    // the context's thread setting); see `ReproContext::fig4a`.
+    // (chunked generation, `Pipeline::run` at the context's thread
+    // setting, the corpus kept as a columnar batch); see
+    // `ReproContext::fig4a`.
     let state = ctx.fig4a();
 
     let mut out = String::new();
@@ -430,7 +417,7 @@ fn fig4a(ctx: &ReproContext) -> String {
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig4b(ctx: &ReproContext) -> String {
-    let j = analysis::jitter_by_orbit(&ctx.mlab().records, ctx.report());
+    let j = analysis::jitter_by_orbit(&ctx.mlab().records, mlab_accepted(ctx));
     let mut out = String::new();
     for orbit in OrbitClass::ALL {
         let med = j.median_variation(orbit).unwrap_or(f64::NAN);
@@ -450,7 +437,7 @@ fn fig4b(ctx: &ReproContext) -> String {
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig4c(ctx: &ReproContext) -> String {
-    let groups = analysis::retransmissions(&ctx.mlab().records, ctx.report());
+    let groups = analysis::retransmissions(&ctx.mlab().records, mlab_accepted(ctx));
     let mut out = String::new();
     for (group, values) in &groups {
         let med = sno_stats::median(values).unwrap_or(f64::NAN);
@@ -724,7 +711,6 @@ fn fig9(ctx: &ReproContext) -> String {
     out
 }
 
-// sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig10a(ctx: &ReproContext) -> String {
     let mut rng = Rng::new(ctx.config().seed).substream_named("apps-cdn");
     let panel = sno_apps::panel(ctx.config().seed);
@@ -756,7 +742,6 @@ fn fig10a(ctx: &ReproContext) -> String {
     out
 }
 
-// sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig10b(ctx: &ReproContext) -> String {
     let mut rng = Rng::new(ctx.config().seed).substream_named("apps-web");
     let panel = sno_apps::panel(ctx.config().seed);
@@ -787,7 +772,6 @@ fn fig10b(ctx: &ReproContext) -> String {
     out
 }
 
-// sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig10c(ctx: &ReproContext) -> String {
     let mut rng = Rng::new(ctx.config().seed).substream_named("apps-dns");
     let panel = sno_apps::panel(ctx.config().seed);
@@ -810,7 +794,6 @@ fn fig10c(ctx: &ReproContext) -> String {
     out
 }
 
-// sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig11(ctx: &ReproContext) -> String {
     let mut rng = Rng::new(ctx.config().seed).substream_named("apps-video");
     let panel = sno_apps::panel(ctx.config().seed);
@@ -847,7 +830,6 @@ fn fig11(ctx: &ReproContext) -> String {
     out
 }
 
-// sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig13(_ctx: &ReproContext) -> String {
     let snaps = sno_synth::bgp::snapshots();
     let mut out = String::new();
@@ -1013,10 +995,11 @@ fn ablation_filter(ctx: &ReproContext) -> String {
     use sno_core::accuracy::{score, Confusion, Truth};
     let (corpus, raw) = sno_synth::MlabGenerator::new(ctx.config().clone()).generate_with_truth();
     let truth: Vec<Truth> = raw.iter().map(|t| (t.operator, t.kind)).collect();
-    let report = sno_core::pipeline::Pipeline::new().run(&corpus.records);
+    let report = sno_core::pipeline::Pipeline::with_threads(ctx.threads()).run(&corpus.records);
+    let accepted = report.accepted.as_deref().unwrap_or_default();
 
     // Arm A: the full pipeline (relaxed filtering), as published.
-    let relaxed = score(&truth, &report);
+    let relaxed = score(&truth, accepted);
 
     // Arm B: strict-only — keep LEO/MEO ASN-level acceptance but require
     // GEO records to fall inside a strictly-retained /24.
@@ -1028,7 +1011,7 @@ fn ablation_filter(ctx: &ReproContext) -> String {
         .collect();
     let mut strict_acc = Confusion::default();
     let mut strict_kept = 0u64;
-    for ((rec, &(op_true, kind)), acc) in corpus.records.iter().zip(&truth).zip(&report.accepted) {
+    for ((rec, &(op_true, kind)), acc) in corpus.records.iter().zip(&truth).zip(accepted) {
         let keep = match acc {
             None => false,
             Some(op) => {
@@ -1054,7 +1037,7 @@ fn ablation_filter(ctx: &ReproContext) -> String {
     }
 
     let mut out = String::new();
-    let relaxed_kept = report.accepted.iter().flatten().count();
+    let relaxed_kept = report.accepted_count();
     let _ = writeln!(
         out,
         "relaxed (published): kept {relaxed_kept} records; {relaxed}"
@@ -1138,11 +1121,14 @@ mod tests {
             ..SynthConfig::test_corpus()
         };
         let generator = sno_synth::MlabGenerator::new(cfg);
-        let batch =
-            sno_types::RecordBatch::from_chunks(generator.generate_chunks_for(&FIG4A_OPS, 512));
-        let report = sno_core::pipeline::Pipeline::new().run_batch(&batch);
+        let records = generator
+            .generate_chunks_for(&FIG4A_OPS, 512)
+            .collect_records();
+        let report = sno_core::pipeline::Pipeline::new().run(&records);
+        let batch = sno_types::RecordBatch::from_records(&records);
+        let accepted = report.accepted.expect("run keeps the dense vector");
         let ops = FIG4A_OPS.to_vec();
-        let mut by_op = analysis::stability_by_operator_batch(&batch, &report.accepted, &ops);
+        let mut by_op = analysis::stability_by_operator_batch(&batch, &accepted, &ops);
         let mut rendered = String::new();
         for op in FIG4A_OPS {
             rendered.push_str(&fig4a_row(op, by_op.remove(&op), 0.0));

@@ -8,9 +8,8 @@
 //! record. This module folds the per-ASN work into sorted lookup
 //! tables built once per pipeline run, so the per-record cost drops to
 //! a binary search over ~67 ASNs plus one comparison, with decisions
-//! *identical* to [`Pipeline::accept`](crate::pipeline::Pipeline)'s
-//! row-at-a-time logic (pinned by the tests below and the columnar
-//! determinism suites).
+//! *identical* to the row-at-a-time reference (`row_accept`, kept in
+//! this module's tests as the oracle the table is checked against).
 
 use crate::asn_map::AsnMapping;
 use crate::prefix_filter::MEO_FLOOR_MS;
@@ -106,9 +105,9 @@ pub struct AcceptTable {
 
 impl AcceptTable {
     /// Build the table from the stage 1–3c outputs. One entry per
-    /// curated ASN, rules mirroring `Pipeline::accept` comparison for
-    /// comparison (strict `>` for the MEO floor, `>=` for relaxed
-    /// thresholds).
+    /// curated ASN, rules mirroring the row-at-a-time reference
+    /// comparison for comparison (strict `>` for the MEO floor, `>=` for
+    /// relaxed thresholds).
     pub fn build(
         mapping: &AsnMapping,
         verdicts: &BTreeMap<Asn, AsnVerdict>,
@@ -320,7 +319,41 @@ impl AcceptState {
 mod tests {
     use super::*;
     use crate::asn_map::map_asns;
+    use sno_types::records::NdtRecord;
     use sno_types::OrbitClass;
+
+    /// Decide one record row-at-a-time, re-deriving mapping, verdict and
+    /// threshold per row: the reference the per-ASN [`AcceptTable`] is
+    /// checked against.
+    fn row_accept(
+        rec: &NdtRecord,
+        mapping: &AsnMapping,
+        verdicts: &BTreeMap<Asn, AsnVerdict>,
+        thresholds: &BTreeMap<Operator, f64>,
+        default_threshold: f64,
+    ) -> Option<Operator> {
+        let op = mapping.operator_of(rec.asn)?;
+        // ASNs whose latency profile contradicts the technology are out
+        // wholesale (corporate networks, broken hybrids).
+        if matches!(verdicts.get(&rec.asn), Some(AsnVerdict::Outlier(_))) {
+            return None;
+        }
+        match sno_registry::sources::access_of(op) {
+            // LEO operators are identified at ASN granularity; the KDE
+            // stage already removed the bad ASNs.
+            AccessKind::Satellite(OrbitClass::Leo) => Some(op),
+            // The MEO operator likewise, with the regime floor as a
+            // sanity cut.
+            AccessKind::Satellite(OrbitClass::Meo) => {
+                (rec.latency_p5.0 > MEO_FLOOR_MS).then_some(op)
+            }
+            // GEO and hybrid operators go through the relaxed filter.
+            _ => {
+                let threshold = thresholds.get(&op).copied().unwrap_or(default_threshold);
+                (rec.latency_p5.0 >= threshold).then_some(op)
+            }
+        }
+    }
 
     #[test]
     fn index_matches_linear_operator_of() {
@@ -363,8 +396,7 @@ mod tests {
             ..sno_synth::SynthConfig::test_corpus()
         })
         .generate();
-        let pipeline = Pipeline::new();
-        let report = pipeline.run(&corpus.records);
+        let report = Pipeline::new().run(&corpus.records);
         let verdict_of: BTreeMap<Asn, AsnVerdict> = report
             .profiles
             .iter()
@@ -376,11 +408,12 @@ mod tests {
             &report.thresholds,
             report.default_threshold,
         );
-        for (rec, want) in corpus.records.iter().zip(&report.accepted) {
+        let dense = report.accepted.as_deref().expect("run keeps it");
+        for (rec, want) in corpus.records.iter().zip(dense) {
             let got = table.decide(rec.asn, rec.latency_p5.0);
             assert_eq!(got, *want, "{rec:?}");
             // And both agree with the row-at-a-time reference.
-            let row = pipeline.accept(
+            let row = row_accept(
                 rec,
                 &report.mapping,
                 &verdict_of,

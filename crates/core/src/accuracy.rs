@@ -6,7 +6,6 @@
 //! truth — can be scored like a classifier. This module packages that
 //! evaluation for tests, examples and the filtering ablation.
 
-use crate::pipeline::PipelineReport;
 use sno_types::{LinkKind, Operator};
 use std::fmt;
 
@@ -88,19 +87,20 @@ pub fn is_satellite_truth(kind: LinkKind) -> bool {
 /// via `From`); the pipeline never sees it.
 pub type Truth = (Operator, LinkKind);
 
-/// Score a pipeline report against per-record ground truth.
+/// Score per-record acceptance (the report's dense `accepted` vector)
+/// against per-record ground truth.
 ///
 /// # Panics
-/// Panics if `truth` and `report.accepted` disagree in length (they must
+/// Panics if `truth` and `accepted` disagree in length (they must
 /// describe the same record slice).
-pub fn score(truth: &[Truth], report: &PipelineReport) -> Confusion {
+pub fn score(truth: &[Truth], accepted: &[Option<Operator>]) -> Confusion {
     assert_eq!(
         truth.len(),
-        report.accepted.len(),
+        accepted.len(),
         "truth and report must cover the same records"
     );
     let mut c = Confusion::default();
-    for (&(_, kind), acc) in truth.iter().zip(&report.accepted) {
+    for (&(_, kind), acc) in truth.iter().zip(accepted) {
         match (is_satellite_truth(kind), acc.is_some()) {
             (true, true) => c.true_positive += 1,
             (true, false) => c.false_negative += 1,
@@ -113,21 +113,21 @@ pub fn score(truth: &[Truth], report: &PipelineReport) -> Confusion {
 
 /// Per-operator attribution accuracy: of the records the pipeline
 /// accepted, how many were attributed to their true operator?
-pub fn attribution_accuracy(truth: &[Truth], report: &PipelineReport) -> f64 {
+pub fn attribution_accuracy(truth: &[Truth], accepted: &[Option<Operator>]) -> f64 {
     let mut correct = 0u64;
-    let mut accepted = 0u64;
-    for (&(op_true, _), acc) in truth.iter().zip(&report.accepted) {
+    let mut kept = 0u64;
+    for (&(op_true, _), acc) in truth.iter().zip(accepted) {
         if let Some(op) = acc {
-            accepted += 1;
+            kept += 1;
             if *op == op_true {
                 correct += 1;
             }
         }
     }
-    if accepted == 0 {
+    if kept == 0 {
         0.0
     } else {
-        correct as f64 / accepted as f64
+        correct as f64 / kept as f64
     }
 }
 
@@ -170,13 +170,14 @@ mod tests {
         let (corpus, raw) = MlabGenerator::new(SynthConfig::test_corpus()).generate_with_truth();
         let truth = truths(&raw);
         let report = Pipeline::new().run(&corpus.records);
-        let c = score(&truth, &report);
+        let accepted = report.accepted.as_deref().expect("run keeps it");
+        let c = score(&truth, accepted);
         assert!(c.recall() > 0.9, "{c}");
         assert!(c.precision() > 0.95, "{c}");
         assert!(c.f1() > 0.92, "{c}");
         // Attribution: whatever is accepted lands on the right operator
         // (ASNs do not overlap between operators).
-        assert_eq!(attribution_accuracy(&truth, &report), 1.0);
+        assert_eq!(attribution_accuracy(&truth, accepted), 1.0);
     }
 
     #[test]
@@ -185,6 +186,7 @@ mod tests {
         let (corpus, raw) = MlabGenerator::new(SynthConfig::test_corpus()).generate_with_truth();
         let truth = truths(&raw);
         let report = Pipeline::new().run(&corpus.records);
-        let _ = score(&truth[..truth.len() - 1], &report);
+        let accepted = report.accepted.as_deref().expect("run keeps it");
+        let _ = score(&truth[..truth.len() - 1], accepted);
     }
 }

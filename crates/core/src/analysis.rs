@@ -1,10 +1,10 @@
 //! Section 4's bird's-eye analyses over the identified traffic.
 //!
-//! Every function takes the original record slice plus the pipeline
-//! report, so nothing here ever sees a record the identification stage
-//! rejected.
+//! Every function takes the original record slice plus its per-record
+//! acceptance vector (`accepted`, indexes matching the slice — what
+//! [`Pipeline::run`](crate::pipeline::Pipeline::run) returns), so
+//! nothing here ever sees a record the identification stage rejected.
 
-use crate::pipeline::PipelineReport;
 use sno_stats::{
     daily_medians, timeseries::daily_variation_p95, DailyPoint, Ecdf, FiveNumber, QuantileSketch,
 };
@@ -69,10 +69,10 @@ pub fn orbit_group_of(op: Operator, record: &NdtRecord) -> OrbitGroup {
 /// latencies, sorted by median ascending.
 pub fn latency_by_operator(
     records: &[NdtRecord],
-    report: &PipelineReport,
+    accepted: &[Option<Operator>],
 ) -> Vec<(Operator, FiveNumber)> {
     let mut by_op: BTreeMap<Operator, Vec<f64>> = BTreeMap::new();
-    for (rec, acc) in records.iter().zip(&report.accepted) {
+    for (rec, acc) in records.iter().zip(accepted) {
         if let Some(op) = acc {
             by_op.entry(*op).or_default().push(rec.latency_p5.0);
         }
@@ -140,10 +140,10 @@ pub fn latency_table_from_sketches(
 /// operators should use [`stability_by_operator`].
 pub fn stability(
     records: &[NdtRecord],
-    report: &PipelineReport,
+    accepted: &[Option<Operator>],
     op: Operator,
 ) -> (Vec<DailyPoint>, Option<f64>) {
-    let mut by_op = stability_by_operator(records, report, &[op]);
+    let mut by_op = stability_by_operator(records, accepted, &[op]);
     by_op.remove(&op).unwrap_or_default()
 }
 
@@ -152,12 +152,12 @@ pub fn stability(
 /// reduced to daily medians and the variation figure per operator.
 pub fn stability_by_operator(
     records: &[NdtRecord],
-    report: &PipelineReport,
+    accepted: &[Option<Operator>],
     ops: &[Operator],
 ) -> BTreeMap<Operator, (Vec<DailyPoint>, Option<f64>)> {
     let mut samples: BTreeMap<Operator, Vec<(sno_types::Timestamp, f64)>> =
         ops.iter().map(|&op| (op, Vec::new())).collect();
-    for (rec, acc) in records.iter().zip(&report.accepted) {
+    for (rec, acc) in records.iter().zip(accepted) {
         if let Some(op) = acc {
             if let Some(bucket) = samples.get_mut(op) {
                 bucket.push((rec.timestamp, rec.latency_p5.0));
@@ -229,10 +229,10 @@ impl JitterAnalysis {
 }
 
 /// Compute Figure 4b's jitter populations.
-pub fn jitter_by_orbit(records: &[NdtRecord], report: &PipelineReport) -> JitterAnalysis {
+pub fn jitter_by_orbit(records: &[NdtRecord], accepted: &[Option<Operator>]) -> JitterAnalysis {
     let mut variation: BTreeMap<OrbitClass, Vec<f64>> = BTreeMap::new();
     let mut absolute: BTreeMap<OrbitClass, Vec<f64>> = BTreeMap::new();
-    for (rec, acc) in records.iter().zip(&report.accepted) {
+    for (rec, acc) in records.iter().zip(accepted) {
         if let Some(op) = acc {
             let orbit = orbit_of(*op, rec);
             variation
@@ -251,10 +251,10 @@ pub fn jitter_by_orbit(records: &[NdtRecord], report: &PipelineReport) -> Jitter
 /// Figure 4c: retransmitted-byte fractions per transport population.
 pub fn retransmissions(
     records: &[NdtRecord],
-    report: &PipelineReport,
+    accepted: &[Option<Operator>],
 ) -> BTreeMap<OrbitGroup, Vec<f64>> {
     let mut out: BTreeMap<OrbitGroup, Vec<f64>> = BTreeMap::new();
-    for (rec, acc) in records.iter().zip(&report.accepted) {
+    for (rec, acc) in records.iter().zip(accepted) {
         if let Some(op) = acc {
             out.entry(orbit_group_of(*op, rec))
                 .or_default()
@@ -271,19 +271,20 @@ mod tests {
     use sno_synth::{MlabCorpus, MlabGenerator, SynthConfig};
     use std::sync::OnceLock;
 
-    fn fixture() -> &'static (MlabCorpus, PipelineReport) {
-        static FIXTURE: OnceLock<(MlabCorpus, PipelineReport)> = OnceLock::new();
+    /// The test corpus and its per-record acceptance.
+    fn fixture() -> &'static (MlabCorpus, Vec<Option<Operator>>) {
+        static FIXTURE: OnceLock<(MlabCorpus, Vec<Option<Operator>>)> = OnceLock::new();
         FIXTURE.get_or_init(|| {
             let corpus = MlabGenerator::new(SynthConfig::test_corpus()).generate();
-            let report = Pipeline::new().run(&corpus.records);
-            (corpus, report)
+            let accepted = Pipeline::new().run(&corpus.records).accepted;
+            (corpus, accepted.expect("run keeps the dense vector"))
         })
     }
 
     #[test]
     fn latency_ladder_matches_figure_3c() {
-        let (corpus, report) = fixture();
-        let table = latency_by_operator(&corpus.records, report);
+        let (corpus, accepted) = fixture();
+        let table = latency_by_operator(&corpus.records, accepted);
         let median_of = |op: Operator| {
             table
                 .iter()
@@ -307,9 +308,9 @@ mod tests {
 
     #[test]
     fn shared_sort_table_matches_per_constructor_sorts() {
-        let (corpus, report) = fixture();
+        let (corpus, accepted) = fixture();
         let mut by_op: BTreeMap<Operator, Vec<f64>> = BTreeMap::new();
-        for (rec, acc) in corpus.records.iter().zip(&report.accepted) {
+        for (rec, acc) in corpus.records.iter().zip(accepted) {
             if let Some(op) = acc {
                 by_op.entry(*op).or_default().push(rec.latency_p5.0);
             }
@@ -327,10 +328,10 @@ mod tests {
 
     #[test]
     fn sketch_table_tracks_exact_table() {
-        let (corpus, report) = fixture();
+        let (corpus, accepted) = fixture();
         let mut by_op: BTreeMap<Operator, Vec<f64>> = BTreeMap::new();
         let mut sketches: BTreeMap<Operator, QuantileSketch> = BTreeMap::new();
-        for (rec, acc) in corpus.records.iter().zip(&report.accepted) {
+        for (rec, acc) in corpus.records.iter().zip(accepted) {
             if let Some(op) = acc {
                 by_op.entry(*op).or_default().push(rec.latency_p5.0);
                 sketches.entry(*op).or_default().push(rec.latency_p5.0);
@@ -358,11 +359,11 @@ mod tests {
 
     #[test]
     fn geo_median_near_the_papers_673ms() {
-        let (corpus, report) = fixture();
+        let (corpus, accepted) = fixture();
         let geo: Vec<f64> = corpus
             .records
             .iter()
-            .zip(&report.accepted)
+            .zip(accepted)
             .filter_map(|(rec, acc)| {
                 let op = (*acc)?;
                 (orbit_of(op, rec) == OrbitClass::Geo).then_some(rec.latency_p5.0)
@@ -385,7 +386,8 @@ mod tests {
         };
         let corpus = MlabGenerator::new(cfg).generate();
         let report = Pipeline::new().run(&corpus.records);
-        let var = |op: Operator| stability(&corpus.records, &report, op).1.unwrap();
+        let accepted = report.accepted.as_deref().expect("run keeps it");
+        let var = |op: Operator| stability(&corpus.records, accepted, op).1.unwrap();
         let starlink = var(Operator::Starlink);
         let hughes = var(Operator::Hughes);
         assert!(
@@ -400,12 +402,12 @@ mod tests {
 
     #[test]
     fn grouped_stability_matches_single_operator_scans() {
-        let (corpus, report) = fixture();
+        let (corpus, accepted) = fixture();
         let ops = [Operator::Starlink, Operator::Viasat];
-        let grouped = stability_by_operator(&corpus.records, report, &ops);
+        let grouped = stability_by_operator(&corpus.records, accepted, &ops);
         assert_eq!(grouped.len(), ops.len());
         for op in ops {
-            let (daily, variation) = stability(&corpus.records, report, op);
+            let (daily, variation) = stability(&corpus.records, accepted, op);
             assert_eq!(grouped[&op].0, daily, "{op:?}");
             assert_eq!(grouped[&op].1, variation, "{op:?}");
         }
@@ -413,18 +415,18 @@ mod tests {
 
     #[test]
     fn columnar_stability_matches_row_stability() {
-        let (corpus, report) = fixture();
+        let (corpus, accepted) = fixture();
         let ops = [Operator::Starlink, Operator::Viasat, Operator::Hughes];
-        let row = stability_by_operator(&corpus.records, report, &ops);
+        let row = stability_by_operator(&corpus.records, accepted, &ops);
         let batch = RecordBatch::from_records(&corpus.records);
-        let columnar = stability_by_operator_batch(&batch, &report.accepted, &ops);
+        let columnar = stability_by_operator_batch(&batch, accepted, &ops);
         assert_eq!(columnar, row);
     }
 
     #[test]
     fn leo_jitter_variation_exceeds_geo() {
-        let (corpus, report) = fixture();
-        let j = jitter_by_orbit(&corpus.records, report);
+        let (corpus, accepted) = fixture();
+        let j = jitter_by_orbit(&corpus.records, accepted);
         let leo = j.median_variation(OrbitClass::Leo).unwrap();
         let geo = j.median_variation(OrbitClass::Geo).unwrap();
         assert!(leo > geo, "leo {leo} vs geo {geo}");
@@ -434,8 +436,8 @@ mod tests {
     #[test]
     fn absolute_jitter_flips_the_comparison() {
         // The Figure 4b inset: GEO dominates in *absolute* jitter.
-        let (corpus, report) = fixture();
-        let j = jitter_by_orbit(&corpus.records, report);
+        let (corpus, accepted) = fixture();
+        let j = jitter_by_orbit(&corpus.records, accepted);
         let geo_tail = j.tail_at_least(OrbitClass::Geo, 100.0).unwrap();
         let leo_tail = j.tail_at_least(OrbitClass::Leo, 100.0).unwrap();
         assert!(geo_tail > 0.5, "GEO ≥100 ms share {geo_tail}");
@@ -445,8 +447,8 @@ mod tests {
 
     #[test]
     fn pep_flattens_geo_retransmissions() {
-        let (corpus, report) = fixture();
-        let groups = retransmissions(&corpus.records, report);
+        let (corpus, accepted) = fixture();
+        let groups = retransmissions(&corpus.records, accepted);
         let med = |g: OrbitGroup| sno_stats::median(&groups[&g]).unwrap();
         let leo = med(OrbitGroup::Leo);
         let geo_pep = med(OrbitGroup::GeoPep);
@@ -464,8 +466,8 @@ mod tests {
 
     #[test]
     fn meo_retransmits_more_than_leo() {
-        let (corpus, report) = fixture();
-        let groups = retransmissions(&corpus.records, report);
+        let (corpus, accepted) = fixture();
+        let groups = retransmissions(&corpus.records, accepted);
         let leo = sno_stats::median(&groups[&OrbitGroup::Leo]).unwrap();
         let meo = sno_stats::median(&groups[&OrbitGroup::Meo]).unwrap();
         assert!(meo > leo, "meo {meo} vs leo {leo}");

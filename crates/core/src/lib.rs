@@ -16,18 +16,21 @@
 //!    latencies inside the MEO > 200 ms / GEO > 500 ms bands), and the
 //!    relaxed filter derived from it (per-operator minimum latency,
 //!    527 ms default);
-//! 4. [`pipeline`] — the end-to-end orchestration producing the SNO
-//!    catalog (Table 1) and per-record acceptance, running columnar
-//!    over struct-of-arrays [`sno_types::RecordBatch`]es with the
-//!    per-ASN decision tables of [`accept`];
-//! 5. [`stream`] — the same stages over a chunked record stream in
-//!    bounded memory (per-chunk accumulators, a streamed accept pass,
-//!    and a compact acceptance bitmap), byte-identical to the
-//!    materialized run;
+//! 4. [`stream`] — [`Pipeline::run_streamed`], the one function that
+//!    runs the identification: two passes over a chunked record
+//!    stream in bounded memory (per-chunk columnar accumulators over
+//!    struct-of-arrays [`sno_types::RecordBatch`]es, then an accept
+//!    pass through the per-ASN decision tables of [`accept`]), producing
+//!    the SNO catalog (Table 1), a compact acceptance bitmap and the one
+//!    report type, [`StreamedReport`];
+//! 5. [`pipeline`] — the configured [`Pipeline`], the stage 3–3c
+//!    derivation (plus its incremental cache), and [`Pipeline::run`]:
+//!    `run_streamed` over an in-memory slice with the dense per-record
+//!    acceptance vector the analyses read;
 //! 6. [`online`] — the incremental service on top of [`stream`]: an
 //!    [`OnlineIdentifier`] ingests chunks in arrival order, merges
-//!    across shards, and snapshots through the same report path with
-//!    verdicts byte-identical to the batch pipelines;
+//!    across shards, and snapshots through the same report assembly
+//!    with verdicts byte-identical to `run_streamed`;
 //! 7. [`analysis`] — the bird's-eye analyses of Section 4: latency
 //!    distributions (Figure 3c), latency-over-time stability (4a),
 //!    jitter variation (4b) and retransmissions with/without PEPs (4c).
@@ -47,7 +50,7 @@ pub use accuracy::{attribution_accuracy, score, Confusion};
 pub use analysis::{jitter_by_orbit, latency_by_operator, retransmissions, stability, OrbitGroup};
 pub use asn_map::{map_asns, AsnMapping};
 pub use online::{OnlineIdentifier, PopFlag};
-pub use pipeline::{Pipeline, PipelineReport};
+pub use pipeline::Pipeline;
 pub use prefix_filter::{relaxed_thresholds, strict_filter, StrictOutcome};
 pub use stream::{AcceptBitmap, CorpusStats, StreamOptions, StreamedReport};
 pub use validate::{validate_asns, AsnVerdict, LatencyBands};

@@ -1,11 +1,11 @@
 //! The online identification service: incremental ingest with
 //! snapshot-on-demand reporting in O(delta), not O(corpus).
 //!
-//! The batch pipelines ([`Pipeline::run`] and [`Pipeline::run_streamed`])
-//! assume the corpus is complete before stage 3 runs. A continuously
-//! operating service instead receives measurement chunks in arrival-time
-//! order and must answer "who are the SNOs right now?" at any point. The
-//! [`OnlineIdentifier`] supports exactly that:
+//! The batch pipeline ([`Pipeline::run_streamed`], and [`Pipeline::run`]
+//! on top of it) assumes the corpus is complete before stage 3 runs. A
+//! continuously operating service instead receives measurement chunks
+//! in arrival-time order and must answer "who are the SNOs right now?"
+//! at any point. The [`OnlineIdentifier`] supports exactly that:
 //!
 //! * **Ingest** — each arriving chunk is columnarized and folded into the
 //!   same [`CorpusStats`] accumulator the streamed pipeline uses (per-ASN
@@ -34,9 +34,10 @@
 //!   whole stream is re-decided: compacted frames from their retained
 //!   ASN slots plus the cumulative per-ASN latency buckets, resident
 //!   frames from the log (the bounded re-replay).
-//!   Either way the report is byte-identical to [`Pipeline::run_streamed`]
-//!   over the same records — online verdicts *are* batch verdicts,
-//!   pinned by `tests/online_determinism.rs` across interleaved
+//!   Either way the report is assembled by the same function
+//!   [`Pipeline::run_streamed`] uses and is byte-identical to it over
+//!   the same records — online verdicts *are* batch verdicts, pinned by
+//!   `tests/online_determinism.rs` across interleaved
 //!   ingest/snapshot/merge/compact schedules.
 //! * **Compaction** — [`OnlineIdentifier::compact`] drops the decided
 //!   prefix of the replay log, retaining only each dropped frame's ASN
@@ -51,18 +52,20 @@
 //! first *evict* the leading run of frames older than `window_secs`
 //! behind the newest timestamp seen — sound because the cutoff only
 //! moves forward, so an expired frame can never re-enter a later
-//! window — then re-derive statistics from the retained log. The
-//! unwindowed default keeps the whole stream (resident or compacted)
-//! and therefore matches the batch report exactly.
+//! window — then run [`Pipeline::run_streamed`] over the retained
+//! in-window records. The unwindowed default keeps the whole stream
+//! (resident or compacted) and therefore matches the batch report
+//! exactly.
 
 use crate::accept::{AcceptState, AsnOps};
 use crate::asn_map::{map_asns, AsnMapping};
 use crate::pipeline::{Pipeline, StageCache};
 use crate::stream::{
-    accept_pass, AcceptBitmap, CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN,
+    accept_pass, AcceptPass, CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN,
 };
 use crate::validate::{profile_from_sketch, AsnProfile};
 use sno_stats::{daily_medians, OnlineShiftDetector, QuantileSketch, Shift};
+use sno_types::chunk::{slice_chunks, RecordChunks};
 use sno_types::records::NdtRecord;
 use sno_types::{codec, Asn, Operator, RecordBatch, Timestamp, UtcDay};
 use std::collections::BTreeMap;
@@ -160,6 +163,10 @@ impl OnlineIdentifier {
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn ingest(&mut self, records: &[NdtRecord]) {
         let batch = RecordBatch::from_records(records);
+        // A windowed identifier never reads the cumulative statistics
+        // (every snapshot re-derives from the retained log), so it
+        // skips accumulating them — the buckets would otherwise grow
+        // with the whole stream, defeating the window's memory bound.
         if self.window_secs.is_none() {
             self.stats
                 .observe_batch(&self.index, &batch, 0..batch.len());
@@ -167,30 +174,8 @@ impl OnlineIdentifier {
         }
         self.log.extend_records(records);
         self.ingested += records.len();
-        self.track(&batch);
-    }
-
-    /// Ingest one columnar batch in arrival order.
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn ingest_batch(&mut self, batch: &RecordBatch) {
-        // A windowed identifier never reads the cumulative statistics
-        // (every snapshot re-derives from the retained log), so it
-        // skips accumulating them — the buckets would otherwise grow
-        // with the whole stream, defeating the window's memory bound.
-        if self.window_secs.is_none() {
-            self.stats.observe_batch(&self.index, batch, 0..batch.len());
-            self.stats_rev += 1;
-        }
-        for i in 0..batch.len() {
-            self.log.push(&batch.record(i));
-        }
-        self.ingested += batch.len();
-        self.track(batch);
-    }
-
-    /// Per-record tracking shared by the ingest paths: newest timestamp,
-    /// per-operator PoP-flag samples and latency sketches.
-    fn track(&mut self, batch: &RecordBatch) {
+        // Newest timestamp, per-operator PoP-flag samples and latency
+        // sketches.
         let timestamps = batch.timestamps();
         let latencies = batch.latency_p5();
         for ((&ts, &asn), &lat) in timestamps.iter().zip(batch.asns()).zip(latencies) {
@@ -329,8 +314,7 @@ impl OnlineIdentifier {
     /// Render the current state through the standard report path. The
     /// report is byte-identical to [`Pipeline::run_streamed`] over the
     /// same records (the whole stream, or the sliding window if one was
-    /// configured). `opts.replay_encoded` is moot here — snapshots
-    /// always replay the internal log.
+    /// configured).
     ///
     /// Unwindowed, the cost is O(frames since the last snapshot) while
     /// the derived accept table is stable, and O(stream) on the rare
@@ -382,65 +366,12 @@ impl OnlineIdentifier {
         }
         debug_assert_eq!(self.accept.decided(), self.ingested);
 
-        let (counts, bitmap, dense, latencies) = match self.accept.pass() {
-            Some(pass) => (
-                pass.counts.clone(),
-                pass.bitmap.clone(),
-                pass.dense.clone(),
-                pass.latencies.clone(),
-            ),
-            None => (BTreeMap::new(), AcceptBitmap::new(), None, None),
-        };
-        let mut catalog: Vec<(Operator, u64)> = counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        StreamedReport {
-            mapping: self.mapping.clone(),
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: self.ingested,
-            catalog,
-            bitmap,
-            accepted: dense,
-            latencies_by_operator: latencies,
-        }
-    }
-
-    /// The full-replay reference snapshot: re-derive every stage from
-    /// scratch and replay the entire resident log, ignoring (and not
-    /// touching) the persistent accept state — what `snapshot()` cost
-    /// before incremental acceptance, minus the log clone. Kept as the
-    /// oracle the incremental path is tested and benchmarked against.
-    /// Unwindowed, uncompacted identifiers only: the whole stream must
-    /// still be resident.
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn snapshot_full(&self, opts: StreamOptions) -> StreamedReport {
-        debug_assert!(
-            self.window_secs.is_none() && self.compacted_slots.is_empty(),
-            "snapshot_full replays the resident log; use snapshot() after compaction/windowing"
-        );
-        let stages = self.pipeline.derive_stages(&self.mapping, &self.stats);
-        let pass = accept_pass(
-            &stages.table,
-            self.log.chunks(REPLAY_CHUNK_LEN),
-            opts,
-            self.pipeline.threads,
-        );
-        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        StreamedReport {
-            mapping: self.mapping.clone(),
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: self.ingested,
-            catalog,
-            bitmap: pass.bitmap,
-            accepted: pass.dense,
-            latencies_by_operator: pass.latencies,
-        }
+        let pass = self
+            .accept
+            .pass()
+            .cloned()
+            .unwrap_or_else(|| AcceptPass::empty(opts));
+        StreamedReport::assemble(self.mapping.clone(), stages, self.ingested, pass)
     }
 
     /// Fold the decided prefix of the replay log into the persistent
@@ -451,7 +382,6 @@ impl OnlineIdentifier {
     /// snapshot (nothing is decided yet).
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn compact(&mut self) {
-        use sno_types::chunk::RecordChunks;
         if self.window_secs.is_some() {
             return;
         }
@@ -485,61 +415,27 @@ impl OnlineIdentifier {
     }
 
     /// The windowed path: evict the expired leading run of the log,
-    /// then re-derive statistics over the retained window and replay
-    /// it. Eviction is sound because `latest` (hence the cutoff) only
-    /// moves forward: a frame older than today's cutoff is older than
-    /// every future cutoff too, so dropping it can never change a later
+    /// then run [`Pipeline::run_streamed`] over the retained window.
+    /// Eviction is sound because `latest` (hence the cutoff) only moves
+    /// forward: a frame older than today's cutoff is older than every
+    /// future cutoff too, so dropping it can never change a later
     /// snapshot. Out-of-order stragglers *behind* newer frames are
     /// filtered per snapshot and evicted once the run ahead of them
     /// expires.
     fn windowed_snapshot(&mut self, cutoff: u64, opts: StreamOptions) -> StreamedReport {
-        use sno_types::chunk::RecordChunks;
         self.evict(cutoff);
-        // Rebuild the window's statistics and record set from the
-        // retained log, filtering the stragglers eviction could not
-        // reach (no clone of the encoder — chunks borrow its bytes).
-        let mut stats = CorpusStats::new();
         let mut kept: Vec<NdtRecord> = Vec::new();
         let mut chunks = self.log.chunks(REPLAY_CHUNK_LEN);
         while let Some(chunk) = chunks.next_chunk() {
-            let in_window: Vec<NdtRecord> = chunk
-                .into_iter()
-                .filter(|r| r.timestamp.0 >= cutoff)
-                .collect();
-            if in_window.is_empty() {
-                continue;
-            }
-            let batch = RecordBatch::from_records(&in_window);
-            stats.observe_batch(&self.index, &batch, 0..batch.len());
-            kept.extend(in_window);
+            kept.extend(chunk.into_iter().filter(|r| r.timestamp.0 >= cutoff));
         }
-        let stages = self.pipeline.derive_stages(&self.mapping, &stats);
-        let pass = accept_pass(
-            &stages.table,
-            sno_types::chunk::slice_chunks(&kept, REPLAY_CHUNK_LEN),
-            opts,
-            self.pipeline.threads,
-        );
-        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        StreamedReport {
-            mapping: self.mapping.clone(),
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: stats.records,
-            catalog,
-            bitmap: pass.bitmap,
-            accepted: pass.dense,
-            latencies_by_operator: pass.latencies,
-        }
+        self.pipeline
+            .run_streamed(|| slice_chunks(&kept, REPLAY_CHUNK_LEN), opts)
     }
 
     /// Drop the leading run of frames older than `cutoff` from the
     /// replay log (windowed identifiers only).
     fn evict(&mut self, cutoff: u64) {
-        use sno_types::chunk::RecordChunks;
         let mut expired = 0usize;
         let mut chunks = self.log.chunks(REPLAY_CHUNK_LEN);
         'scan: while let Some(chunk) = chunks.next_chunk() {
@@ -586,7 +482,6 @@ impl OnlineIdentifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sno_types::chunk::{slice_chunks, RecordChunks};
     use sno_types::{Asn, Ipv4, Mbps, Millis};
 
     fn small_config() -> sno_synth::SynthConfig {
@@ -631,7 +526,6 @@ mod tests {
             online.ingest(&chunk);
         }
         assert_eq!(online.ingested(), records.len());
-        assert_reports_equal(&online.snapshot_full(opts), &batch_report);
         assert_reports_equal(&online.snapshot(opts), &batch_report);
     }
 
@@ -689,21 +583,6 @@ mod tests {
         let expect =
             Pipeline::new().run_streamed(|| slice_chunks(&records, 512), StreamOptions::default());
         assert_reports_equal(&online.snapshot(StreamOptions::default()), &expect);
-    }
-
-    #[test]
-    fn batch_ingest_matches_row_ingest() {
-        let records = corpus();
-        let mut rows = OnlineIdentifier::new(Pipeline::new());
-        let mut batches = OnlineIdentifier::new(Pipeline::new());
-        for chunk in records.chunks(777) {
-            rows.ingest(chunk);
-            batches.ingest_batch(&RecordBatch::from_records(chunk));
-        }
-        let opts = StreamOptions::default();
-        assert_reports_equal(&rows.snapshot(opts), &batches.snapshot(opts));
-        assert_eq!(rows.latency_sketches(), batches.latency_sketches());
-        assert_eq!(rows.latest(), batches.latest());
     }
 
     #[test]

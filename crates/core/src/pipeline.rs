@@ -1,15 +1,16 @@
 //! Stage 4: the end-to-end pipeline and the SNO catalog (Table 1).
 
 use crate::accept::AcceptTable;
-use crate::asn_map::{map_asns, AsnMapping};
+use crate::asn_map::AsnMapping;
 use crate::prefix_filter::{
     collect_strict, outlier_set, relaxed_thresholds, strict_eval_bucket,
-    strict_filter_from_buckets, BucketOutcome, PrefixEntry, StrictOutcome, MEO_FLOOR_MS,
+    strict_filter_from_buckets, BucketOutcome, PrefixEntry, StrictOutcome,
 };
-use crate::stream::CorpusStats;
-use crate::validate::{profile_one, profiles_from_buckets, AsnProfile, AsnVerdict, LatencyBands};
+use crate::stream::{CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN};
+use crate::validate::{profile_one, profiles_from_buckets, AsnProfile, LatencyBands};
+use sno_types::chunk::slice_chunks;
 use sno_types::records::NdtRecord;
-use sno_types::{par, AccessKind, Asn, Operator, OrbitClass, Prefix24, RecordBatch};
+use sno_types::{par, Asn, Operator, Prefix24};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The configured pipeline.
@@ -28,58 +29,6 @@ pub struct Pipeline {
     /// Worker threads for the sharded stages (`0` = all cores). The
     /// report is byte-identical at every setting; see `sno_types::par`.
     pub threads: usize,
-}
-
-/// Everything the pipeline produced.
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// Stage 1–2 output.
-    pub mapping: AsnMapping,
-    /// Stage 3 output: per-ASN KDE profiles and verdicts.
-    pub profiles: Vec<AsnProfile>,
-    /// Stage 3b output.
-    pub strict: StrictOutcome,
-    /// Stage 3c: per-operator relaxed thresholds.
-    pub thresholds: BTreeMap<Operator, f64>,
-    /// Stage 3c: the default threshold for uncovered operators.
-    pub default_threshold: f64,
-    /// Per input record: the operator the record was attributed to, or
-    /// `None` if rejected. Indexes match the input slice.
-    pub accepted: Vec<Option<Operator>>,
-    /// Stage 4: the catalog — operators with accepted tests, by volume
-    /// descending (Table 1).
-    pub catalog: Vec<(Operator, u64)>,
-}
-
-impl PipelineReport {
-    /// Indices of the records attributed to `op`.
-    ///
-    /// One full scan per call — callers that need several operators
-    /// should use [`PipelineReport::accepted_by_operator`] instead.
-    pub fn accepted_indices(&self, op: Operator) -> Vec<usize> {
-        self.accepted
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| (a == Some(op)).then_some(i))
-            .collect()
-    }
-
-    /// Per-operator accepted-record indices, grouped in one pass over
-    /// the acceptance vector (each list ascending).
-    pub fn accepted_by_operator(&self) -> BTreeMap<Operator, Vec<usize>> {
-        let mut by_op: BTreeMap<Operator, Vec<usize>> = BTreeMap::new();
-        for (i, acc) in self.accepted.iter().enumerate() {
-            if let Some(op) = acc {
-                by_op.entry(*op).or_default().push(i);
-            }
-        }
-        by_op
-    }
-
-    /// Number of operators in the catalog.
-    pub fn sno_count(&self) -> usize {
-        self.catalog.len()
-    }
 }
 
 /// The stage 3–3c outputs plus the per-ASN accept table they determine.
@@ -249,67 +198,25 @@ impl Pipeline {
         }
     }
 
-    /// Run all stages over an NDT corpus.
-    ///
-    /// Columnarizes the slice and delegates to [`Pipeline::run_batch`];
-    /// both entry points produce byte-identical reports (pinned by
-    /// `tests/columnar_determinism.rs`).
+    /// Run all stages over an in-memory NDT corpus: one
+    /// [`Pipeline::run_streamed`] over the slice, keeping the dense
+    /// per-record acceptance vector (`accepted`, indexes matching
+    /// `records`) the per-record analyses read.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn run(&self, records: &[NdtRecord]) -> PipelineReport {
-        self.run_batch(&RecordBatch::from_records(records))
-    }
-
-    /// Run all stages over a columnar batch.
-    ///
-    /// This is the hot path: statistics accumulate over dense columns,
-    /// and the accept pass decides each record through a precomputed
-    /// per-ASN [`AcceptTable`] instead of re-deriving mapping, verdict
-    /// and threshold per row.
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn run_batch(&self, batch: &RecordBatch) -> PipelineReport {
-        // Stages 1–2: registry mapping + curation.
-        let mapping = map_asns();
-        // Shared statistics accumulation: one sharded pass builds both
-        // the per-ASN and per-prefix buckets the next two stages need
-        // (the streaming pipeline folds the same accumulator per chunk).
-        let stats = CorpusStats::collect_batch(&mapping, batch, self.threads);
-        // Stages 3–3c, folded into the per-ASN decision table.
-        let stages = self.derive_stages(&mapping, &stats);
-
-        // Stage 4: per-record acceptance, in record-order shards over
-        // the ASN and latency columns.
-        let asns = batch.asns();
-        let latencies = batch.latency_p5();
-        let accepted: Vec<Option<Operator>> =
-            par::shard_map_chunks(batch.len(), 1024, self.threads, |_, range| {
-                asns[range.clone()]
-                    .iter()
-                    .zip(&latencies[range])
-                    .map(|(&asn, &lat)| stages.table.decide(asn, lat))
-                    .collect()
-            });
-
-        let mut counts: BTreeMap<Operator, u64> = BTreeMap::new();
-        for op in accepted.iter().flatten() {
-            *counts.entry(*op).or_default() += 1;
-        }
-        let mut catalog: Vec<(Operator, u64)> = counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-        PipelineReport {
-            mapping,
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            accepted,
-            catalog,
-        }
+    pub fn run(&self, records: &[NdtRecord]) -> StreamedReport {
+        self.run_streamed(
+            || slice_chunks(records, REPLAY_CHUNK_LEN),
+            StreamOptions {
+                dense_acceptance: true,
+                ..StreamOptions::default()
+            },
+        )
     }
 
     /// Stages 3–3c over accumulated statistics, plus the accept table
-    /// they determine (shared between the materialized and streamed
-    /// paths).
+    /// they determine, derived from scratch: what
+    /// [`Pipeline::run_streamed`] runs between its passes, and the
+    /// reference the incremental [`StageCache`] is checked against.
     pub(crate) fn derive_stages(&self, mapping: &AsnMapping, stats: &CorpusStats) -> DerivedStages {
         // Stage 3: KDE validation.
         let profiles = profiles_from_buckets(mapping, &stats.by_asn, self.bands, self.threads);
@@ -330,59 +237,32 @@ impl Pipeline {
             table,
         }
     }
-
-    /// Decide one record row-at-a-time: the reference implementation
-    /// the per-ASN [`AcceptTable`] is checked against (the hot paths
-    /// use the table).
-    pub fn accept(
-        &self,
-        rec: &NdtRecord,
-        mapping: &AsnMapping,
-        verdicts: &BTreeMap<sno_types::Asn, AsnVerdict>,
-        thresholds: &BTreeMap<Operator, f64>,
-        default_threshold: f64,
-    ) -> Option<Operator> {
-        let op = mapping.operator_of(rec.asn)?;
-        // ASNs whose latency profile contradicts the technology are out
-        // wholesale (corporate networks, broken hybrids).
-        if matches!(verdicts.get(&rec.asn), Some(AsnVerdict::Outlier(_))) {
-            return None;
-        }
-        let access = sno_registry::sources::access_of(op);
-        match access {
-            // LEO operators are identified at ASN granularity; the KDE
-            // stage already removed the bad ASNs.
-            AccessKind::Satellite(OrbitClass::Leo) => Some(op),
-            // The MEO operator likewise, with the regime floor as a
-            // sanity cut.
-            AccessKind::Satellite(OrbitClass::Meo) => {
-                (rec.latency_p5.0 > MEO_FLOOR_MS).then_some(op)
-            }
-            // GEO and hybrid operators go through the relaxed filter.
-            _ => {
-                let threshold = thresholds.get(&op).copied().unwrap_or(default_threshold);
-                (rec.latency_p5.0 >= threshold).then_some(op)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asn_map::map_asns;
     use sno_synth::mlab::SessionTruth;
     use sno_synth::{MlabCorpus, MlabGenerator, SynthConfig};
     use sno_types::{Asn, LinkKind};
     use std::sync::OnceLock;
 
-    fn fixture() -> &'static (MlabCorpus, Vec<SessionTruth>, PipelineReport) {
-        static FIXTURE: OnceLock<(MlabCorpus, Vec<SessionTruth>, PipelineReport)> = OnceLock::new();
+    fn fixture() -> &'static (MlabCorpus, Vec<SessionTruth>, StreamedReport) {
+        static FIXTURE: OnceLock<(MlabCorpus, Vec<SessionTruth>, StreamedReport)> = OnceLock::new();
         FIXTURE.get_or_init(|| {
             let (corpus, truth) =
                 MlabGenerator::new(SynthConfig::test_corpus()).generate_with_truth();
             let report = Pipeline::new().run(&corpus.records);
             (corpus, truth, report)
         })
+    }
+
+    fn dense(report: &StreamedReport) -> &[Option<Operator>] {
+        report
+            .accepted
+            .as_deref()
+            .expect("run keeps the dense vector")
     }
 
     #[test]
@@ -410,7 +290,7 @@ mod tests {
     #[test]
     fn corporate_asn_records_all_rejected() {
         let (corpus, _, report) = fixture();
-        for (rec, acc) in corpus.records.iter().zip(&report.accepted) {
+        for (rec, acc) in corpus.records.iter().zip(dense(report)) {
             if rec.asn == Asn(27277) {
                 assert_eq!(*acc, None, "corporate record accepted: {rec:?}");
             }
@@ -422,7 +302,7 @@ mod tests {
         let (corpus, truth, report) = fixture();
         let mut wrong = 0usize;
         let mut total = 0usize;
-        for ((rec, t), acc) in corpus.records.iter().zip(truth).zip(&report.accepted) {
+        for ((rec, t), acc) in corpus.records.iter().zip(truth).zip(dense(report)) {
             if t.kind == LinkKind::Terrestrial {
                 total += 1;
                 if acc.is_some() {
@@ -441,7 +321,7 @@ mod tests {
         let (corpus, truth, report) = fixture();
         let mut missed = 0usize;
         let mut total = 0usize;
-        for ((rec, t), acc) in corpus.records.iter().zip(truth).zip(&report.accepted) {
+        for ((rec, t), acc) in corpus.records.iter().zip(truth).zip(dense(report)) {
             if matches!(t.kind, LinkKind::Satellite(_)) && rec.asn != Asn(201554) {
                 total += 1;
                 if acc.is_none() {
@@ -456,7 +336,7 @@ mod tests {
     #[test]
     fn accepted_operator_matches_truth_operator() {
         let (corpus, truth, report) = fixture();
-        for ((rec, t), acc) in corpus.records.iter().zip(truth).zip(&report.accepted) {
+        for ((rec, t), acc) in corpus.records.iter().zip(truth).zip(dense(report)) {
             if let Some(op) = acc {
                 assert_eq!(*op, t.operator, "record {rec:?} misattributed");
             }
@@ -476,17 +356,6 @@ mod tests {
         assert!(pos(Operator::Starlink) < pos(Operator::Viasat));
         assert!(pos(Operator::O3b) < pos(Operator::Viasat));
         assert!(pos(Operator::Viasat) < pos(Operator::Kacific));
-    }
-
-    #[test]
-    fn accepted_indices_helper() {
-        let (corpus, _, report) = fixture();
-        let idx = report.accepted_indices(Operator::Starlink);
-        assert!(!idx.is_empty());
-        for i in idx {
-            assert_eq!(report.accepted[i], Some(Operator::Starlink));
-            assert!(i < corpus.records.len());
-        }
     }
 
     #[test]
@@ -531,17 +400,6 @@ mod tests {
                 format!("{:?}", again.strict),
                 format!("{:?}", cached.strict)
             );
-        }
-    }
-
-    #[test]
-    fn grouped_indices_match_per_operator_scans() {
-        let (.., report) = fixture();
-        let grouped = report.accepted_by_operator();
-        assert_eq!(grouped.len(), report.catalog.len());
-        for &(op, count) in &report.catalog {
-            assert_eq!(grouped[&op].len() as u64, count, "{op:?}");
-            assert_eq!(grouped[&op], report.accepted_indices(op), "{op:?}");
         }
     }
 }

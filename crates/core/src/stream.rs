@@ -1,53 +1,44 @@
 //! The streaming pipeline: bounded-memory identification over chunked
-//! corpora.
+//! corpora, and the one function that runs the identification.
 //!
-//! [`Pipeline::run`](crate::pipeline::Pipeline::run) materializes the
-//! whole corpus and a dense per-record `Vec<Option<Operator>>`; at
-//! paper scale (11.92 M sessions) neither fits comfortably in memory.
-//! [`Pipeline::run_streamed`] reproduces the exact same report from a
-//! re-streamable chunked source in two passes:
+//! [`Pipeline::run_streamed`] produces the [`StreamedReport`] from a
+//! re-streamable chunked source in two passes; every other entry point
+//! is a source choice on top of it ([`Pipeline::run`] streams an
+//! in-memory slice, a windowed online snapshot streams its in-window
+//! records, a caller holding an encoded corpus streams its
+//! [`sno_types::codec`] frames):
 //!
 //! 1. **Statistics pass** — every chunk is columnarized into a
 //!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
 //!    (per-ASN latency samples for the KDE stage, per-`(operator, /24)`
-//!    samples for the strict filter). Accumulators merge in shard
+//!    samples for the strict filter). Accumulators merge in chunk
 //!    order, so every bucket holds its samples in record order —
-//!    byte-identical to the serial bucketing the materialized path
-//!    performs.
+//!    byte-identical to a serial row-at-a-time fold.
 //! 2. **Accept pass** — the records are streamed again and each is
 //!    decided through the per-ASN [`AcceptTable`](crate::accept)
 //!    derived from pass 1, emitting per-operator counts plus a compact
-//!    [`AcceptBitmap`] (one bit per record) instead of the dense
-//!    vector, unless the caller opts into it via [`StreamOptions`].
-//!
-//! By default pass 2 re-streams `source` (paying generation twice but
-//! holding nothing). With [`StreamOptions::replay_encoded`] the first
-//! pass also encodes every chunk into the compact binary corpus format
-//! ([`sno_types::codec`], 52 bytes/record) and pass 2 replays those
-//! bytes instead of regenerating — a memory-for-time trade the
-//! bounded-corpus benchmarks opt into.
+//!    [`AcceptBitmap`] (one bit per record), and the dense per-record
+//!    vector only when [`StreamOptions`] asks for it.
 //!
 //! Peak memory is the per-bucket statistics (latency samples, not
 //! records) plus one generation wave — the corpus itself is never
-//! resident (unless replay is requested). Equivalence with the
-//! materialized path is pinned by `tests/stream_determinism.rs` at
-//! chunk sizes {1, 1024, whole} × threads {1, 2, 8}, with and without
-//! replay.
+//! resident unless the source holds it. Chunk-length and thread-count
+//! independence is pinned by `tests/stream_determinism.rs` at chunk
+//! sizes {1, 1024, whole} × threads {1, 2, 8}.
 
 use crate::accept::{AcceptTable, AsnOps};
 use crate::asn_map::{map_asns, AsnMapping};
-use crate::pipeline::Pipeline;
+use crate::pipeline::{DerivedStages, Pipeline};
 use crate::prefix_filter::StrictOutcome;
 use crate::validate::AsnProfile;
 use sno_types::chunk::{self, RecordChunks};
-use sno_types::codec;
 use sno_types::records::NdtRecord;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, RecordBatch};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// Chunk length pass 2 decodes at when replaying an encoded corpus
-/// (shared with the online identifier's snapshot replay).
+/// Chunk length the in-memory sources stream at: [`Pipeline::run`]'s
+/// record slice and the online identifier's log replay.
 pub(crate) const REPLAY_CHUNK_LEN: usize = 4096;
 
 /// Per-chunk accumulator for the statistics pass: everything stages
@@ -70,7 +61,8 @@ impl CorpusStats {
         CorpusStats::default()
     }
 
-    /// Fold one record in.
+    /// Fold one record in: the row-at-a-time reference
+    /// [`CorpusStats::observe_batch`] is checked against.
     pub fn observe(&mut self, mapping: &AsnMapping, rec: &NdtRecord) {
         self.records += 1;
         self.by_asn
@@ -124,62 +116,18 @@ impl CorpusStats {
             }
         }
     }
-
-    /// Accumulate over a materialized slice, in parallel shards merged
-    /// in shard order — the same buckets a serial pass would build.
-    pub fn collect(mapping: &AsnMapping, records: &[NdtRecord], threads: usize) -> CorpusStats {
-        chunk::accumulate(
-            records.len(),
-            1024,
-            threads,
-            CorpusStats::new(),
-            |_, range| {
-                let mut stats = CorpusStats::new();
-                for rec in &records[range] {
-                    stats.observe(mapping, rec);
-                }
-                stats
-            },
-            CorpusStats::merge,
-        )
-    }
-
-    /// Accumulate over a columnar batch, in parallel shards merged in
-    /// shard order — the same buckets [`CorpusStats::collect`] builds
-    /// from the equivalent row slice.
-    pub fn collect_batch(mapping: &AsnMapping, batch: &RecordBatch, threads: usize) -> CorpusStats {
-        let index = AsnOps::new(mapping);
-        chunk::accumulate(
-            batch.len(),
-            1024,
-            threads,
-            CorpusStats::new(),
-            |_, range| {
-                let mut stats = CorpusStats::new();
-                stats.observe_batch(&index, batch, range);
-                stats
-            },
-            CorpusStats::merge,
-        )
-    }
 }
 
 /// What the accept pass should keep beyond the catalog.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamOptions {
-    /// Also keep the dense per-record `Vec<Option<Operator>>` (as the
-    /// materialized report carries). Off by default — the bitmap plus
-    /// counts serve the catalog paths.
+    /// Also keep the dense per-record `Vec<Option<Operator>>` (what
+    /// [`Pipeline::run`] returns for the per-record analyses). Off by
+    /// default — the bitmap plus counts serve the catalog paths.
     pub dense_acceptance: bool,
     /// Collect accepted latency samples per operator (the Figure 3c
     /// input) during the accept pass.
     pub operator_latencies: bool,
-    /// Encode the statistics pass into the compact binary corpus format
-    /// and replay those bytes in the accept pass instead of re-running
-    /// `source`. Trades ~52 bytes/record of resident memory for paying
-    /// generation once — off by default so the constant-memory
-    /// guarantee holds; benchmarks and bounded corpora opt in.
-    pub replay_encoded: bool,
     /// Emit a heartbeat line to stderr every this many records per pass
     /// (`0` = silent). Heartbeats are record-count based — never
     /// wall-clock — so they cannot perturb determinism; they make a
@@ -260,10 +208,11 @@ impl AcceptBitmap {
     }
 }
 
-/// Everything [`Pipeline::run_streamed`] produced. Field-for-field the
-/// materialized [`PipelineReport`](crate::pipeline::PipelineReport),
-/// except the dense acceptance vector is opt-in and the record count /
-/// bitmap stand in for it.
+/// Everything the identification pipeline produced — the one report
+/// type, whether it came from [`Pipeline::run_streamed`],
+/// [`Pipeline::run`] or an online snapshot. The record count and
+/// bitmap always describe per-record acceptance; the dense vector is
+/// opt-in.
 #[derive(Debug, Clone)]
 pub struct StreamedReport {
     /// Stage 1–2 output.
@@ -292,6 +241,31 @@ pub struct StreamedReport {
 }
 
 impl StreamedReport {
+    /// Assemble the report from the stage 1–3c outputs and the accept
+    /// pass over `records` records: the catalog is the pass's
+    /// per-operator counts by volume descending, ties by operator.
+    pub(crate) fn assemble(
+        mapping: AsnMapping,
+        stages: DerivedStages,
+        records: usize,
+        pass: AcceptPass,
+    ) -> StreamedReport {
+        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
+        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        StreamedReport {
+            mapping,
+            profiles: stages.profiles,
+            strict: stages.strict,
+            thresholds: stages.thresholds,
+            default_threshold: stages.default_threshold,
+            records,
+            catalog,
+            bitmap: pass.bitmap,
+            accepted: pass.dense,
+            latencies_by_operator: pass.latencies,
+        }
+    }
+
     /// Number of operators in the catalog.
     pub fn sno_count(&self) -> usize {
         self.catalog.len()
@@ -307,11 +281,11 @@ impl Pipeline {
     /// Run all stages over a re-streamable chunked source in bounded
     /// memory. `source` is called once per pass (statistics, then
     /// accept) and must yield the same record stream both times —
-    /// chunked generators rebuilt from a seed satisfy this by
-    /// construction.
+    /// chunked generators rebuilt from a seed, slices and encoded
+    /// corpora satisfy this by construction.
     ///
-    /// The report is byte-identical to [`Pipeline::run`] over the
-    /// materialized stream, at any chunk length and thread count.
+    /// The report is byte-identical at any chunk length and thread
+    /// count.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn run_streamed<C, F>(&self, source: F, opts: StreamOptions) -> StreamedReport
     where
@@ -323,36 +297,24 @@ impl Pipeline {
         let index = AsnOps::new(&mapping);
 
         // Pass 1: columnarize each chunk and fold it into the
-        // statistics accumulator, optionally encoding the stream for
-        // replay. Chunks are mapped to per-chunk partials on the worker
-        // pool and merged in chunk order on this thread, so every
-        // bucket holds its samples in record order — byte-identical to
-        // the serial fold at any thread count.
+        // statistics accumulator. Chunks are mapped to per-chunk
+        // partials on the worker pool and merged in chunk order on this
+        // thread, so every bucket holds its samples in record order —
+        // byte-identical to the serial fold at any thread count.
         let mut progress = Progress::new(opts.progress_every, "stats pass");
-        let (stats, encoder) = chunk::par_fold_chunks(
+        let stats = chunk::par_fold_chunks(
             source(),
             self.threads,
-            (
-                CorpusStats::new(),
-                opts.replay_encoded.then(codec::Encoder::new),
-            ),
+            CorpusStats::new(),
             |chunk| {
                 let batch = RecordBatch::from_records(chunk);
                 let mut part = CorpusStats::new();
                 part.observe_batch(&index, &batch, 0..batch.len());
-                let encoded = opts.replay_encoded.then(|| {
-                    let mut enc = codec::Encoder::new();
-                    enc.extend_records(chunk);
-                    enc
-                });
-                (part, encoded)
+                part
             },
-            |(stats, mut encoder), (part, part_enc)| {
+            |stats, part| {
                 progress.advance(part.records);
-                if let (Some(enc), Some(part_enc)) = (encoder.as_mut(), part_enc.as_ref()) {
-                    enc.append(part_enc);
-                }
-                (stats.merge(part), encoder)
+                stats.merge(part)
             },
         );
 
@@ -361,38 +323,13 @@ impl Pipeline {
         // the dominant resident set at paper scale — release them
         // before pass 2 runs.
         let stages = self.derive_stages(&mapping, &stats);
-        let total_records = stats.records;
+        let records = stats.records;
         drop(stats);
 
-        // Pass 2: decide each record — replaying the encoded bytes, or
-        // re-streaming the source.
-        let encoded = encoder.map(codec::Encoder::finish);
-        let pass = match &encoded {
-            Some(corpus) => accept_pass(
-                &stages.table,
-                corpus.chunks(REPLAY_CHUNK_LEN),
-                opts,
-                self.threads,
-            ),
-            None => accept_pass(&stages.table, source(), opts, self.threads),
-        };
-        debug_assert_eq!(pass.bitmap.len(), total_records, "source must re-stream");
-
-        let mut catalog: Vec<(Operator, u64)> = pass.counts.into_iter().collect();
-        catalog.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-        StreamedReport {
-            mapping,
-            profiles: stages.profiles,
-            strict: stages.strict,
-            thresholds: stages.thresholds,
-            default_threshold: stages.default_threshold,
-            records: total_records,
-            catalog,
-            bitmap: pass.bitmap,
-            accepted: pass.dense,
-            latencies_by_operator: pass.latencies,
-        }
+        // Pass 2: re-stream the source and decide each record.
+        let pass = accept_pass(&stages.table, source(), opts, self.threads);
+        debug_assert_eq!(pass.bitmap.len(), records, "source must re-stream");
+        StreamedReport::assemble(mapping, stages, records, pass)
     }
 }
 
@@ -596,61 +533,28 @@ mod tests {
     }
 
     #[test]
-    fn corpus_stats_parallel_collect_matches_serial() {
+    fn corpus_stats_batch_fold_matches_row_observe() {
+        // Column-wise partials over consecutive row ranges, merged in
+        // range order (the pass-1 shape), land on the row fold's buckets
+        // at every split.
         let corpus = MlabGenerator::new(small_config()).generate();
         let mapping = map_asns();
         let mut serial = CorpusStats::new();
         for rec in &corpus.records {
             serial.observe(&mapping, rec);
         }
-        for threads in [1, 2, 8] {
-            let par = CorpusStats::collect(&mapping, &corpus.records, threads);
-            assert_eq!(par.records, serial.records, "threads {threads}");
-            assert_eq!(par.by_asn, serial.by_asn, "threads {threads}");
-            assert_eq!(par.by_prefix, serial.by_prefix, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn corpus_stats_batch_collect_matches_row_collect() {
-        let corpus = MlabGenerator::new(small_config()).generate();
-        let mapping = map_asns();
-        let serial = CorpusStats::collect(&mapping, &corpus.records, 1);
-        let batch = sno_types::RecordBatch::from_records(&corpus.records);
-        for threads in [1, 2, 8] {
-            let columnar = CorpusStats::collect_batch(&mapping, &batch, threads);
-            assert_eq!(columnar.records, serial.records, "threads {threads}");
-            assert_eq!(columnar.by_asn, serial.by_asn, "threads {threads}");
-            assert_eq!(columnar.by_prefix, serial.by_prefix, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn encoded_replay_matches_restreamed_pass() {
-        let corpus = MlabGenerator::new(small_config()).generate();
-        let opts_base = StreamOptions {
-            dense_acceptance: true,
-            operator_latencies: true,
-            ..StreamOptions::default()
-        };
-        let restreamed =
-            Pipeline::new().run_streamed(|| slice_chunks(&corpus.records, 512), opts_base);
-        let replayed = Pipeline::new().run_streamed(
-            || slice_chunks(&corpus.records, 512),
-            StreamOptions {
-                replay_encoded: true,
-                ..opts_base
-            },
-        );
-        assert_eq!(replayed.records, restreamed.records);
-        assert_eq!(replayed.catalog, restreamed.catalog);
-        assert_eq!(replayed.accepted, restreamed.accepted);
-        assert_eq!(
-            replayed.latencies_by_operator,
-            restreamed.latencies_by_operator
-        );
-        for i in 0..restreamed.records {
-            assert_eq!(replayed.bitmap.get(i), restreamed.bitmap.get(i), "bit {i}");
+        let index = AsnOps::new(&mapping);
+        let batch = RecordBatch::from_records(&corpus.records);
+        for step in [1usize, 1024, batch.len()] {
+            let mut columnar = CorpusStats::new();
+            for start in (0..batch.len()).step_by(step) {
+                let mut part = CorpusStats::new();
+                part.observe_batch(&index, &batch, start..(start + step).min(batch.len()));
+                columnar = columnar.merge(part);
+            }
+            assert_eq!(columnar.records, serial.records, "step {step}");
+            assert_eq!(columnar.by_asn, serial.by_asn, "step {step}");
+            assert_eq!(columnar.by_prefix, serial.by_prefix, "step {step}");
         }
     }
 
@@ -658,6 +562,7 @@ mod tests {
     fn streamed_report_matches_materialized_run() {
         let corpus = MlabGenerator::new(small_config()).generate();
         let materialized = Pipeline::new().run(&corpus.records);
+        let dense = materialized.accepted.as_deref().expect("run keeps it");
         for chunk_len in [1usize, 1024, corpus.records.len()] {
             let streamed = Pipeline::new().run_streamed(
                 || slice_chunks(&corpus.records, chunk_len),
@@ -682,10 +587,10 @@ mod tests {
             );
             assert_eq!(
                 streamed.accepted.as_deref(),
-                Some(materialized.accepted.as_slice()),
+                Some(dense),
                 "chunk {chunk_len}"
             );
-            for (i, acc) in materialized.accepted.iter().enumerate() {
+            for (i, acc) in dense.iter().enumerate() {
                 assert_eq!(streamed.bitmap.get(i), acc.is_some(), "bit {i}");
             }
         }
@@ -709,9 +614,10 @@ mod tests {
         // The per-operator latency samples match a dense-scan rebuild.
         let by_op = streamed.latencies_by_operator.expect("requested");
         let mut expect: BTreeMap<Operator, Vec<f64>> = BTreeMap::new();
-        for (rec, acc) in corpus.records.iter().zip(&materialized.accepted) {
+        let dense = materialized.accepted.expect("run keeps it");
+        for (rec, acc) in corpus.records.iter().zip(dense) {
             if let Some(op) = acc {
-                expect.entry(*op).or_default().push(rec.latency_p5.0);
+                expect.entry(op).or_default().push(rec.latency_p5.0);
             }
         }
         assert_eq!(by_op, expect);

@@ -350,7 +350,11 @@ impl RecordChunks for DecodeChunks<'_> {
         if self.offset >= self.bytes.len() {
             return None;
         }
-        let mut chunk = Vec::with_capacity(self.chunk_len);
+        // Reserve what the buffer can still yield, not `chunk_len`: a
+        // caller asking for one huge chunk must not allocate for frames
+        // that do not exist.
+        let frames_left = (self.bytes.len() - self.offset) / FRAME_LEN;
+        let mut chunk = Vec::with_capacity(self.chunk_len.min(frames_left));
         while chunk.len() < self.chunk_len && self.offset + FRAME_LEN <= self.bytes.len() {
             let body = &self.bytes[self.offset + 4..self.offset + FRAME_LEN];
             chunk.push(decode_body(body));
@@ -401,6 +405,15 @@ mod tests {
                 "chunk_len {chunk_len}"
             );
         }
+    }
+
+    #[test]
+    fn oversized_chunk_len_reserves_only_the_remaining_frames() {
+        let records = sample(3);
+        let corpus = encode_records(&records);
+        let mut chunks = corpus.chunks(usize::MAX);
+        assert_eq!(chunks.next_chunk(), Some(records));
+        assert_eq!(chunks.next_chunk(), None);
     }
 
     #[test]

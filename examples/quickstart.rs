@@ -29,9 +29,11 @@ fn main() {
     }
     println!("  ...");
 
-    // 3. The bird's-eye comparison: latency per orbit.
+    // 3. The bird's-eye comparison: latency per orbit, over the
+    //    per-record acceptance `run` keeps.
+    let accepted = report.accepted.as_deref().expect("run keeps it");
     println!("\naccess latency (p5) medians:");
-    for (op, summary) in analysis::latency_by_operator(&corpus.records, &report) {
+    for (op, summary) in analysis::latency_by_operator(&corpus.records, accepted) {
         println!(
             "  {:<12} {:>7.1} ms  (n={})",
             op.name(),
@@ -41,7 +43,7 @@ fn main() {
     }
 
     // 4. Jitter: LEO is fast but relatively unstable.
-    let jitter = analysis::jitter_by_orbit(&corpus.records, &report);
+    let jitter = analysis::jitter_by_orbit(&corpus.records, accepted);
     println!("\njitter variation (jitter_p95 / latency_p5) medians:");
     for orbit in OrbitClass::ALL {
         if let Some(v) = jitter.median_variation(orbit) {

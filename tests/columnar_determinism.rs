@@ -1,7 +1,7 @@
 //! Row/column equivalence over a full generated corpus: the columnar
-//! batch builders, the batch pipeline, the binary corpus codec, and
-//! the grouped stability analysis must reproduce the row-at-a-time
-//! results bit for bit.
+//! batch constructors, the binary corpus codec, and the grouped
+//! stability analysis must reproduce the row-at-a-time results bit for
+//! bit.
 
 use sno_bench::FIG4A_OPS;
 use sno_dissect::core::analysis;
@@ -37,23 +37,6 @@ fn batch_builders_agree_with_row_records() {
 }
 
 #[test]
-fn batch_pipeline_matches_row_pipeline() {
-    let corpus = MlabGenerator::new(cfg()).generate();
-    let row = Pipeline::with_threads(1).run(&corpus.records);
-    let batch = RecordBatch::from_records(&corpus.records);
-    for threads in [1usize, 2, 8] {
-        let col = Pipeline::with_threads(threads).run_batch(&batch);
-        assert_eq!(col.accepted, row.accepted, "threads {threads}");
-        assert_eq!(col.catalog, row.catalog, "threads {threads}");
-        assert_eq!(col.thresholds, row.thresholds, "threads {threads}");
-        assert_eq!(
-            col.default_threshold, row.default_threshold,
-            "threads {threads}"
-        );
-    }
-}
-
-#[test]
 fn codec_round_trips_a_generated_corpus() {
     let corpus = MlabGenerator::new(cfg()).generate();
     let encoded = codec::encode_records(&corpus.records);
@@ -77,9 +60,10 @@ fn codec_round_trips_a_generated_corpus() {
 fn columnar_stability_matches_row_stability() {
     let corpus = MlabGenerator::new(cfg()).generate();
     let report = Pipeline::with_threads(1).run(&corpus.records);
+    let accepted = report.accepted.expect("run keeps the dense vector");
     let batch = RecordBatch::from_records(&corpus.records);
     let ops = FIG4A_OPS.to_vec();
-    let row = analysis::stability_by_operator(&corpus.records, &report, &ops);
-    let col = analysis::stability_by_operator_batch(&batch, &report.accepted, &ops);
+    let row = analysis::stability_by_operator(&corpus.records, &accepted, &ops);
+    let col = analysis::stability_by_operator_batch(&batch, &accepted, &ops);
     assert_eq!(col, row);
 }

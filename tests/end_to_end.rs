@@ -3,13 +3,21 @@
 //! together — not just within each crate's unit tests.
 
 use sno_dissect::core::analysis::{self, OrbitGroup};
-use sno_dissect::core::pipeline::{Pipeline, PipelineReport};
+use sno_dissect::core::pipeline::Pipeline;
+use sno_dissect::core::StreamedReport;
 use sno_dissect::synth::{MlabCorpus, MlabGenerator, SynthConfig};
 use sno_dissect::types::{Operator, OrbitClass};
 use std::sync::OnceLock;
 
-fn fixture() -> &'static (MlabCorpus, PipelineReport) {
-    static FIXTURE: OnceLock<(MlabCorpus, PipelineReport)> = OnceLock::new();
+fn dense(report: &StreamedReport) -> &[Option<Operator>] {
+    report
+        .accepted
+        .as_deref()
+        .expect("run keeps the dense vector")
+}
+
+fn fixture() -> &'static (MlabCorpus, StreamedReport) {
+    static FIXTURE: OnceLock<(MlabCorpus, StreamedReport)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let corpus = MlabGenerator::new(SynthConfig::test_corpus()).generate();
         let report = Pipeline::new().run(&corpus.records);
@@ -20,19 +28,19 @@ fn fixture() -> &'static (MlabCorpus, PipelineReport) {
 #[test]
 fn the_full_story_holds_together() {
     let (corpus, report) = fixture();
+    let accepted = dense(report);
 
     // Table 1: 18 SNOs, Starlink dominant.
     assert_eq!(report.sno_count(), 18);
     assert_eq!(report.catalog[0].0, Operator::Starlink);
-    let starlink_share =
-        report.catalog[0].1 as f64 / report.accepted.iter().flatten().count() as f64;
+    let starlink_share = report.catalog[0].1 as f64 / report.accepted_count() as f64;
     // At the default scale Starlink carries ~75% of accepted records; at
     // the down-scaled test corpus the operator floors dilute it, but it
     // must still be the plurality by a wide margin.
     assert!(starlink_share > 0.35, "Starlink share {starlink_share}");
 
     // Figure 3c: the latency ladder LEO < MEO < GEO.
-    let ladder = analysis::latency_by_operator(&corpus.records, report);
+    let ladder = analysis::latency_by_operator(&corpus.records, accepted);
     let med = |op: Operator| {
         ladder
             .iter()
@@ -45,7 +53,7 @@ fn the_full_story_holds_together() {
     assert!(med(Operator::O3b) < med(Operator::Ssi));
 
     // Figure 4b: relative jitter inverts the latency ordering...
-    let jitter = analysis::jitter_by_orbit(&corpus.records, report);
+    let jitter = analysis::jitter_by_orbit(&corpus.records, accepted);
     let leo_var = jitter.median_variation(OrbitClass::Leo).unwrap();
     let geo_var = jitter.median_variation(OrbitClass::Geo).unwrap();
     assert!(leo_var > geo_var, "LEO {leo_var} vs GEO {geo_var}");
@@ -55,7 +63,7 @@ fn the_full_story_holds_together() {
     assert!(geo_abs > 0.6 && leo_abs < 0.2);
 
     // Figure 4c: PEPs flatten GEO retransmissions down to LEO levels.
-    let retrans = analysis::retransmissions(&corpus.records, report);
+    let retrans = analysis::retransmissions(&corpus.records, accepted);
     let med_of = |g: OrbitGroup| sno_dissect::stats::median(&retrans[&g]).unwrap();
     assert!(med_of(OrbitGroup::GeoOther) > 0.03);
     assert!(med_of(OrbitGroup::GeoPep) < med_of(OrbitGroup::Leo) + 0.01);
@@ -73,7 +81,7 @@ fn pipeline_accuracy_against_ground_truth() {
     let mut fn_ = 0usize; // satellite rejected
     let mut fp = 0usize; // non-satellite accepted
     let mut tn = 0usize; // non-satellite rejected
-    for (t, acc) in truth.iter().zip(&report.accepted) {
+    for (t, acc) in truth.iter().zip(dense(&report)) {
         let is_sat = matches!(t.kind, sno_dissect::types::LinkKind::Satellite(_));
         match (is_sat, acc.is_some()) {
             (true, true) => tp += 1,
@@ -97,7 +105,7 @@ fn atlas_and_mlab_agree_on_starlink_latency() {
     // RIPE probes' PoP RTT and the NDT p5 latency must land in the same
     // regime (NDT adds the server tail, so it sits a bit higher).
     let (corpus, report) = fixture();
-    let ladder = analysis::latency_by_operator(&corpus.records, report);
+    let ladder = analysis::latency_by_operator(&corpus.records, dense(report));
     let ndt_median = ladder
         .iter()
         .find(|(o, _)| *o == Operator::Starlink)

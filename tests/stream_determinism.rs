@@ -11,6 +11,7 @@ use sno_dissect::core::pipeline::Pipeline;
 use sno_dissect::core::stream::StreamOptions;
 use sno_dissect::synth::{AtlasGenerator, MlabGenerator, SynthConfig};
 use sno_dissect::types::chunk::RecordChunks;
+use sno_dissect::types::codec;
 
 /// A chunk length larger than any corpus here: one chunk per stream.
 const WHOLE: usize = 1 << 30;
@@ -57,6 +58,7 @@ fn streamed_pipeline_identical_across_chunk_and_thread_matrix() {
     // and per-operator latency sample order included).
     let corpus = MlabGenerator::new(cfg(7, 0)).generate();
     let materialized = Pipeline::with_threads(1).run(&corpus.records);
+    let encoded = codec::encode_records(&corpus.records);
     let opts = StreamOptions {
         dense_acceptance: true,
         operator_latencies: true,
@@ -67,67 +69,32 @@ fn streamed_pipeline_identical_across_chunk_and_thread_matrix() {
     for chunk in [1usize, 1024, WHOLE] {
         for threads in [1usize, 2, 8] {
             let generator = MlabGenerator::new(cfg(7, threads));
-            let streamed = Pipeline::with_threads(threads)
-                .run_streamed(|| generator.generate_chunks(chunk), opts);
-            let label = format!("chunk {chunk} threads {threads}");
-            assert_eq!(streamed.records, corpus.records.len(), "{label}");
-            assert_eq!(streamed.catalog, materialized.catalog, "{label}");
-            assert_eq!(streamed.thresholds, materialized.thresholds, "{label}");
-            assert_eq!(
-                streamed.default_threshold, materialized.default_threshold,
-                "{label}"
-            );
-            assert_eq!(
-                streamed.accepted.as_deref(),
-                Some(materialized.accepted.as_slice()),
-                "{label}"
-            );
-            assert_eq!(
-                streamed.latencies_by_operator, serial.latencies_by_operator,
-                "{label}"
-            );
-            let bits: Vec<bool> = (0..streamed.bitmap.len())
-                .map(|i| streamed.bitmap.get(i))
-                .collect();
-            let serial_bits: Vec<bool> = (0..serial.bitmap.len())
-                .map(|i| serial.bitmap.get(i))
-                .collect();
-            assert_eq!(bits, serial_bits, "{label}");
-        }
-    }
-}
-
-#[test]
-fn encoded_replay_identical_across_chunk_and_thread_matrix() {
-    // `replay_encoded` swaps pass 2's regeneration for a decode of the
-    // compact binary corpus buffered in pass 1; the report must not
-    // change by a bit anywhere in the matrix.
-    let corpus = MlabGenerator::new(cfg(7, 0)).generate();
-    let materialized = Pipeline::with_threads(1).run(&corpus.records);
-    for chunk in [1usize, 1024, WHOLE] {
-        for threads in [1usize, 2, 8] {
-            let generator = MlabGenerator::new(cfg(7, threads));
-            let streamed = Pipeline::with_threads(threads).run_streamed(
-                || generator.generate_chunks(chunk),
-                StreamOptions {
-                    dense_acceptance: true,
-                    replay_encoded: true,
-                    ..StreamOptions::default()
-                },
-            );
-            let label = format!("replay chunk {chunk} threads {threads}");
-            assert_eq!(streamed.records, corpus.records.len(), "{label}");
-            assert_eq!(streamed.catalog, materialized.catalog, "{label}");
-            assert_eq!(streamed.thresholds, materialized.thresholds, "{label}");
-            assert_eq!(
-                streamed.default_threshold, materialized.default_threshold,
-                "{label}"
-            );
-            assert_eq!(
-                streamed.accepted.as_deref(),
-                Some(materialized.accepted.as_slice()),
-                "{label}"
-            );
+            let pipeline = Pipeline::with_threads(threads);
+            // Re-generated and replayed-from-encoded sources alike.
+            let regenerated = pipeline.run_streamed(|| generator.generate_chunks(chunk), opts);
+            let replayed = pipeline.run_streamed(|| encoded.chunks(chunk), opts);
+            for (source, streamed) in [("generated", regenerated), ("encoded", replayed)] {
+                let label = format!("{source} chunk {chunk} threads {threads}");
+                assert_eq!(streamed.records, corpus.records.len(), "{label}");
+                assert_eq!(streamed.catalog, materialized.catalog, "{label}");
+                assert_eq!(streamed.thresholds, materialized.thresholds, "{label}");
+                assert_eq!(
+                    streamed.default_threshold, materialized.default_threshold,
+                    "{label}"
+                );
+                assert_eq!(streamed.accepted, materialized.accepted, "{label}");
+                assert_eq!(
+                    streamed.latencies_by_operator, serial.latencies_by_operator,
+                    "{label}"
+                );
+                let bits: Vec<bool> = (0..streamed.bitmap.len())
+                    .map(|i| streamed.bitmap.get(i))
+                    .collect();
+                let serial_bits: Vec<bool> = (0..serial.bitmap.len())
+                    .map(|i| serial.bitmap.get(i))
+                    .collect();
+                assert_eq!(bits, serial_bits, "{label}");
+            }
         }
     }
 }
