@@ -96,6 +96,31 @@ fi
 run online-gate cargo run --release --offline -p sno-bench --bin repro -- \
     --online --verify-batch --scale 2e-3
 
+# Benchmark gate: the repository benchmark's own output checks, briefly.
+# Builds benches/snobench (its own package, so the workspace lock file is
+# untouched), then runs each workload for 2 s with tracing on. Every op's
+# report must match a reference identification, and a traced run also
+# re-derives run_streamed's report through the public functions the
+# benchmark splits it into, so API drift or a decomposition mismatch
+# that would break the benchmark fails here. The benchmark exits 0 either
+# way; the gate reads its JSON result line (the last line of stdout) and
+# fails unless it says "correct": true and "failed": 0.
+snobench_gate() {
+    local manifest=benches/snobench/Cargo.toml workload out last
+    cargo build --release --offline --quiet --manifest-path "$manifest"
+    for workload in batch online-feed online-poll; do
+        out=$(cargo run --release --offline --quiet --manifest-path "$manifest" -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace 1)
+        echo "$out"
+        last=$(tail -n 1 <<<"$out")
+        if ! grep -Eq '^\{"correct": true, "attempted": [1-9][0-9]*, "failed": 0, ' <<<"$last"; then
+            echo "snobench ${workload}: the result line does not report a correct run with no failed ops" >&2
+            return 1
+        fi
+    done
+}
+run snobench snobench_gate
+
 # Sim gate: the deterministic fault-injection campaign. Replays the
 # committed failure corpus first, then SNO_CI_SEEDS fresh seeds; any
 # failure prints a `repro --sim-sweep --seed <S>` replay line.

@@ -6,6 +6,32 @@
 //! provides the estimator plus the helpers that validation needs: the
 //! density on a grid, mode finding, and the probability mass inside a
 //! latency band.
+//!
+//! Every density value is one kernel sum times the normalising
+//! constant, and the sum is written once (`kernel_sum`): `z = (x − s)/h`,
+//! then `exp(−0.5·z²)`, added in sample order. [`Kde::density`] sums the
+//! whole sample; [`Kde::density_grid`] sums each grid point's *window*,
+//! the samples within `√1500` bandwidths, outside which every term is
+//! exactly `+0.0`, so the two agree bit for bit.
+//!
+//! [`Kde::modes_on_grid`] needs only the outcome of comparisons between
+//! grid values, not the values. It sums each point's *core*, the samples
+//! within 8 bandwidths, turns that sum into an interval that provably
+//! contains the window sum (every term outside the core is below
+//! `e^-32`), decides the comparisons on the intervals and sums a full
+//! window only where they overlap. The count equals the whole-grid count
+//! for every input; the density values themselves stay bitwise.
+
+use std::ops::Range;
+
+/// Grid points more than this many bandwidths from a sample get a
+/// kernel term of at most `exp(−0.5·8²) = e^-32 ≈ 1.27e-14`; the samples
+/// within it are a grid point's *core* in [`Kde::modes_on_grid`].
+const CORE_RADIUS: f64 = 8.0;
+
+/// An upper bound on one kernel term outside the core: above `e^-32`
+/// with room for the rounding of `z` and of `exp`.
+const TAIL_TERM_MAX: f64 = 1e-13;
 
 /// A Gaussian KDE over a one-dimensional sample.
 ///
@@ -94,18 +120,14 @@ impl Kde {
         self.samples.is_empty()
     }
 
+    /// `1 / (n·h·√(2π))`: turns a kernel sum into a density.
+    fn norm(&self) -> f64 {
+        1.0 / (self.samples.len() as f64 * self.bandwidth * (2.0 * std::f64::consts::PI).sqrt())
+    }
+
     /// Density estimate at `x`.
     pub fn density(&self, x: f64) -> f64 {
-        let h = self.bandwidth;
-        let norm = 1.0 / (self.samples.len() as f64 * h * (2.0 * std::f64::consts::PI).sqrt());
-        self.samples
-            .iter()
-            .map(|&s| {
-                let z = (x - s) / h;
-                (-0.5 * z * z).exp()
-            })
-            .sum::<f64>()
-            * norm
+        kernel_sum(x, self.bandwidth, &self.samples) * self.norm()
     }
 
     /// Density evaluated on `points` equally spaced points spanning
@@ -138,36 +160,23 @@ impl Kde {
     /// # Panics
     /// Panics if `points < 2` or `lo >= hi`.
     pub fn density_grid(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two grid points");
-        assert!(lo < hi, "empty grid range");
-        let h = self.bandwidth;
-        let norm = 1.0 / (self.samples.len() as f64 * h * (2.0 * std::f64::consts::PI).sqrt());
-        // Conservative underflow radius: |x − s| > w ⇒ 0.5·((x−s)/h)²
-        // clears 746 even after rounding, where exp is exactly +0.0.
-        let w = h * 1500.0_f64.sqrt();
-        let step = (hi - lo) / (points - 1) as f64;
-        let mut start = 0usize;
-        let mut end = 0usize;
+        let step = grid_step(lo, hi, points);
+        let (h, norm) = (self.bandwidth, self.norm());
+        let mut window = Cursor::new(self.window_radius());
         (0..points)
             .map(|i| {
                 let x = lo + step * i as f64;
-                while start < self.samples.len() && self.samples[start] < x - w {
-                    start += 1;
-                }
-                end = end.max(start);
-                while end < self.samples.len() && self.samples[end] <= x + w {
-                    end += 1;
-                }
-                let sum: f64 = self.samples[start..end]
-                    .iter()
-                    .map(|&s| {
-                        let z = (x - s) / h;
-                        (-0.5 * z * z).exp()
-                    })
-                    .sum();
-                (x, sum * norm)
+                let range = window.advance(&self.samples, x, 0..self.samples.len());
+                (x, kernel_sum(x, h, &self.samples[range]) * norm)
             })
             .collect()
+    }
+
+    /// Conservative underflow radius of [`Kde::density_grid`]'s window:
+    /// `|x − s| > w` ⇒ `0.5·((x−s)/h)²` clears 746 even after rounding,
+    /// where `exp` is exactly `+0.0`.
+    fn window_radius(&self) -> f64 {
+        self.bandwidth * 1500.0_f64.sqrt()
     }
 
     /// The grid point with the highest density (the distribution's main
@@ -184,9 +193,12 @@ impl Kde {
     /// The identification pipeline reasons about mass in latency bands
     /// (e.g. "is there non-trivial mass below 100 ms for a GEO ASN?");
     /// using the empirical mass rather than integrating the smoothed
-    /// density keeps band edges crisp.
+    /// density keeps band edges crisp. An empty band — `hi <= lo`, or a
+    /// NaN bound — has mass `0.0`, as in
+    /// [`QuantileSketch::mass_in`](crate::QuantileSketch::mass_in).
     pub fn mass_in(&self, lo: f64, hi: f64) -> f64 {
-        if self.samples.is_empty() {
+        // `partial_cmp` so a NaN bound (incomparable) also yields 0.0.
+        if self.samples.is_empty() || lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
             return 0.0;
         }
         let start = self.samples.partition_point(|&s| s < lo);
@@ -197,21 +209,318 @@ impl Kde {
     /// Count of local maxima in the gridded density that rise above
     /// `min_height` × the global maximum — used to detect bimodal
     /// (hybrid MEO+GEO) profiles.
+    ///
+    /// Returns exactly what counting over [`Kde::density_grid`]'s values
+    /// returns: grid point `i` (not the first or last) is a mode when
+    /// `d[i] > peak × min_height`, `d[i] >= d[i − 1]` and
+    /// `d[i] > d[i + 1]`, where `peak` is the largest value (and no mode
+    /// exists unless it is positive). Only the kernel sums are cheaper:
+    ///
+    /// - One sweep gives each grid point `x` its window (the samples
+    ///   `density_grid` sums) and its core (those within `r = 8h`), with
+    ///   the same two-pointer conditions, so NaN samples fall outside
+    ///   both exactly as they fall outside `density_grid`'s. Only the
+    ///   core is summed.
+    /// - A window sample outside the core has `s < fl(x − r)` or
+    ///   `s > fl(x + r)`. Rounding to nearest then gives `|x − s| >= r`
+    ///   exactly, so the computed `|z| >= fl(8h/h) = 8`, `0.5·z² >= 32`
+    ///   and the term is at most `e^-32 ≈ 1.27e-14 < E = 1e-13`.
+    /// - Summing `m` non-negative terms in order errs by at most
+    ///   `γ_m = m·u/(1 − m·u)` of the exact sum (`u = ε/2`). With
+    ///   `g = (m + 8)·ε` and `t` window terms outside the core, the
+    ///   window sum `S` therefore lies in
+    ///   `[core·(1 − 2g), (core + t·E)·(1 + 2g)]`: `2g` is more than
+    ///   twice the `≈ 2γ_m` the two sums' rounding can reach, enough to
+    ///   also cover the rounding of the bound arithmetic itself
+    ///   (`1 ± 2g` are exact; a subnormal core bounds below by 0). With
+    ///   `t = 0` the core is the window and the sum is exact.
+    /// - `density_grid` returns `fl(S·norm)`, and rounding is monotone,
+    ///   so multiplying both bounds by `norm` bounds the grid value.
+    /// - The peak, the threshold and each neighbour comparison are
+    ///   decided on these intervals. A comparison they cannot decide
+    ///   uses the exact window sum (the value `density_grid` computes,
+    ///   by construction), memoized per point; an undecided threshold
+    ///   uses the exact peak. Grid points where the argument's premises
+    ///   fail (a non-finite `x`, or a bandwidth whose `8h` or `norm` is
+    ///   not finite) get unbounded intervals, so every comparison there
+    ///   is exact.
+    ///
+    /// # Panics
+    /// Panics if `points < 2` or `lo >= hi`.
     pub fn modes_on_grid(&self, lo: f64, hi: f64, points: usize, min_height: f64) -> usize {
-        let grid = self.grid(lo, hi, points);
-        let peak = grid.iter().map(|&(_, d)| d).fold(0.0_f64, f64::max);
-        if peak <= 0.0 {
+        let mut grid = BoundedGrid::sweep(self, lo, hi, points);
+        // Bounds on the peak, folded from 0.0 as over the whole grid.
+        let (peak_lo, peak_hi) = grid.points.iter().fold((0.0_f64, 0.0_f64), |(lo, hi), p| {
+            (lo.max(p.bounds.0), hi.max(p.bounds.1))
+        });
+        if peak_hi <= 0.0 {
             return 0;
         }
-        let threshold = peak * min_height;
+        let mut threshold = Threshold {
+            bounds: scaled((peak_lo, peak_hi), min_height),
+            peak_lo,
+            min_height,
+            exact: false,
+        };
+        // A peak bounded below only by 0 may be 0, and then no point is a
+        // mode: that takes the exact peak.
+        if peak_lo <= 0.0 && !threshold.resolve(&mut grid) {
+            return 0;
+        }
         let mut modes = 0;
-        for i in 1..grid.len() - 1 {
-            let (_, d) = grid[i];
-            if d > threshold && d >= grid[i - 1].1 && d > grid[i + 1].1 {
-                modes += 1;
+        for i in 1..points - 1 {
+            let d = grid.bounds(i);
+            let above = gt(d, threshold.bounds);
+            let rising = ge(d, grid.bounds(i - 1));
+            let falling = gt(d, grid.bounds(i + 1));
+            if [above, rising, falling].contains(&Some(false)) {
+                continue;
             }
+            let is_mode = above.unwrap_or_else(|| threshold.decide(&mut grid, i))
+                && rising.unwrap_or_else(|| grid.decide(ge, i, i - 1))
+                && falling.unwrap_or_else(|| grid.decide(gt, i, i + 1));
+            modes += usize::from(is_mode);
         }
         modes
+    }
+}
+
+/// The one kernel sum every density value comes from: `exp(−0.5·z²)`
+/// for `z = (x − s)/h`, added over `samples` in order.
+fn kernel_sum(x: f64, h: f64, samples: &[f64]) -> f64 {
+    samples
+        .iter()
+        .map(|&s| {
+            let z = (x - s) / h;
+            (-0.5 * z * z).exp()
+        })
+        .sum()
+}
+
+/// The step between `points` equally spaced grid points on `[lo, hi]`.
+///
+/// # Panics
+/// Panics if `points < 2` or `lo >= hi`.
+fn grid_step(lo: f64, hi: f64, points: usize) -> f64 {
+    assert!(points >= 2, "need at least two grid points");
+    assert!(lo < hi, "empty grid range");
+    (hi - lo) / (points - 1) as f64
+}
+
+/// A monotone two-pointer window over the sorted sample: the samples `s`
+/// with `!(s < x − radius)` and `s <= x + radius`, for grid points `x`
+/// visited in ascending order, so each end moves at most once per sample
+/// per sweep.
+struct Cursor {
+    radius: f64,
+    start: usize,
+    end: usize,
+}
+
+impl Cursor {
+    fn new(radius: f64) -> Cursor {
+        Cursor {
+            radius,
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Moves to `x` and returns its window, searched within `within`
+    /// (whose ends must not decrease between calls either).
+    fn advance(&mut self, samples: &[f64], x: f64, within: Range<usize>) -> Range<usize> {
+        self.start = self.start.max(within.start);
+        while self.start < within.end && samples[self.start] < x - self.radius {
+            self.start += 1;
+        }
+        self.end = self.end.max(self.start);
+        while self.end < within.end && samples[self.end] <= x + self.radius {
+            self.end += 1;
+        }
+        self.start..self.end
+    }
+}
+
+/// One grid point of [`Kde::modes_on_grid`]'s sweep.
+struct GridPoint {
+    x: f64,
+    /// The samples [`Kde::density_grid`] sums at `x`.
+    window: Range<usize>,
+    /// Closed bounds on `density_grid`'s value at `x`; equal once `exact`.
+    bounds: (f64, f64),
+    exact: bool,
+}
+
+/// The grid of [`Kde::modes_on_grid`]: bounds from the core sums, exact
+/// values computed on demand.
+struct BoundedGrid<'a> {
+    samples: &'a [f64],
+    h: f64,
+    norm: f64,
+    points: Vec<GridPoint>,
+}
+
+impl<'a> BoundedGrid<'a> {
+    /// One sweep: each grid point's window and core, and the core sum
+    /// turned into bounds on the window's density (see
+    /// [`Kde::modes_on_grid`] for the argument).
+    fn sweep(kde: &'a Kde, lo: f64, hi: f64, points: usize) -> BoundedGrid<'a> {
+        let step = grid_step(lo, hi, points);
+        let (samples, h, norm) = (&kde.samples[..], kde.bandwidth, kde.norm());
+        let radius = CORE_RADIUS * h;
+        // The premises of the bounds: finite terms in [0, 1], an exact
+        // `r/h = 8`, and a `norm` that maps sums monotonically.
+        let boundable = h > 0.0 && radius.is_finite() && norm.is_finite() && norm > 0.0;
+        let mut window = Cursor::new(kde.window_radius());
+        let mut core = Cursor::new(radius);
+        let points = (0..points)
+            .map(|i| {
+                let x = lo + step * i as f64;
+                let window = window.advance(samples, x, 0..samples.len());
+                let core = core.advance(samples, x, window.clone());
+                let sum = kernel_sum(x, h, &samples[core.clone()]);
+                let tails = window.len() - core.len();
+                let (bounds, exact) = if tails == 0 {
+                    ((sum * norm, sum * norm), true)
+                } else if boundable && x.is_finite() {
+                    let (lo, hi) = window_sum_bounds(sum, window.len(), tails);
+                    ((lo * norm, hi * norm), false)
+                } else {
+                    ((f64::NEG_INFINITY, f64::INFINITY), false)
+                };
+                GridPoint {
+                    x,
+                    window,
+                    bounds,
+                    exact,
+                }
+            })
+            .collect();
+        BoundedGrid {
+            samples,
+            h,
+            norm,
+            points,
+        }
+    }
+
+    fn bounds(&self, i: usize) -> (f64, f64) {
+        self.points[i].bounds
+    }
+
+    /// The value `density_grid` computes at point `i`, as bounds that
+    /// are equal (both NaN if the value is).
+    fn exact(&mut self, i: usize) -> (f64, f64) {
+        let p = &mut self.points[i];
+        if !p.exact {
+            let d = kernel_sum(p.x, self.h, &self.samples[p.window.clone()]) * self.norm;
+            (p.bounds, p.exact) = ((d, d), true);
+        }
+        p.bounds
+    }
+
+    /// `cmp` between points `a` and `b` on exact values; false when one
+    /// is NaN, as in IEEE comparisons.
+    fn decide(&mut self, cmp: Compare, a: usize, b: usize) -> bool {
+        let (a, b) = (self.exact(a), self.exact(b));
+        cmp(a, b).unwrap_or(false)
+    }
+
+    /// The largest grid value, folded from `0.0` as over the whole grid.
+    /// Points whose upper bound is below `peak_lo`, a lower bound on the
+    /// peak, cannot hold it and stay unsummed.
+    fn exact_peak(&mut self, peak_lo: f64) -> f64 {
+        let mut peak = 0.0_f64;
+        for i in 0..self.points.len() {
+            if self.points[i].bounds.1 >= peak_lo {
+                peak = peak.max(self.exact(i).0);
+            }
+        }
+        peak
+    }
+}
+
+/// The mode threshold `peak × min_height`, bounded until a comparison
+/// needs it exact.
+struct Threshold {
+    bounds: (f64, f64),
+    peak_lo: f64,
+    min_height: f64,
+    exact: bool,
+}
+
+impl Threshold {
+    /// Makes the threshold exact, from the exact peak; false when the
+    /// peak is not positive.
+    fn resolve(&mut self, grid: &mut BoundedGrid) -> bool {
+        let peak = grid.exact_peak(self.peak_lo);
+        let t = peak * self.min_height;
+        (self.bounds, self.exact) = ((t, t), true);
+        peak > 0.0
+    }
+
+    /// `grid[i] > threshold` on the exact threshold (the peak is known to
+    /// be positive by now), and on the exact value at `i` if its bounds
+    /// still cannot tell.
+    fn decide(&mut self, grid: &mut BoundedGrid, i: usize) -> bool {
+        if !self.exact {
+            self.resolve(grid);
+        }
+        match gt(grid.bounds(i), self.bounds) {
+            Some(answer) => answer,
+            None => gt(grid.exact(i), self.bounds).unwrap_or(false),
+        }
+    }
+}
+
+/// Bounds on the ordered sum of a window of `window_len` kernel terms,
+/// from the ordered sum `core` of its core, when `tails` of its terms lie
+/// outside the core (see [`Kde::modes_on_grid`]).
+fn window_sum_bounds(core: f64, window_len: usize, tails: usize) -> (f64, f64) {
+    let g = (window_len + 8) as f64 * f64::EPSILON;
+    let lo = if core.is_normal() {
+        core * (1.0 - 2.0 * g)
+    } else {
+        0.0
+    };
+    let hi = (core + tails as f64 * TAIL_TERM_MAX) * (1.0 + 2.0 * g);
+    (lo, hi)
+}
+
+/// Bounds on `peak × factor` from bounds on a positive `peak`: the
+/// product is monotone in `peak`, unless a NaN shows it is not (`∞ × 0`).
+fn scaled(peak: (f64, f64), factor: f64) -> (f64, f64) {
+    let (a, b) = (peak.0 * factor, peak.1 * factor);
+    if a.is_nan() || b.is_nan() {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    } else {
+        (a.min(b), a.max(b))
+    }
+}
+
+/// A comparison between two values known only by closed bounds: the
+/// answer, or `None` when the bounds cannot tell.
+type Compare = fn((f64, f64), (f64, f64)) -> Option<bool>;
+
+/// `a > b`.
+fn gt(a: (f64, f64), b: (f64, f64)) -> Option<bool> {
+    if a.0 > b.1 {
+        Some(true)
+    } else if a.1 <= b.0 {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// `a >= b`.
+fn ge(a: (f64, f64), b: (f64, f64)) -> Option<bool> {
+    if a.0 >= b.1 {
+        Some(true)
+    } else if a.1 < b.0 {
+        Some(false)
+    } else {
+        None
     }
 }
 
@@ -276,6 +585,21 @@ mod tests {
         assert!((kde.mass_in(0.0, 100.0) - 0.6).abs() < 1e-12);
         assert!((kde.mass_in(500.0, 700.0) - 0.4).abs() < 1e-12);
         assert_eq!(kde.mass_in(1000.0, 2000.0), 0.0);
+        // A reversed or NaN band is empty, as it is for the sketch that
+        // `validate::judge` uses interchangeably: a sample between the
+        // reversed bounds used to underflow `end - start`.
+        let kde = Kde::fit(&[10.0, 20.0, 30.0, 60.0, 70.0]).unwrap();
+        let mut sketch = crate::QuantileSketch::new();
+        sketch.extend([10.0, 20.0, 30.0, 60.0, 70.0]);
+        for (lo, hi) in [
+            (100.0, 50.0),
+            (f64::NAN, 50.0),
+            (0.0, f64::NAN),
+            (30.0, 30.0),
+        ] {
+            assert_eq!(kde.mass_in(lo, hi), 0.0, "[{lo}, {hi})");
+            assert_eq!(sketch.mass_in(lo, hi), 0.0, "[{lo}, {hi})");
+        }
     }
 
     #[test]
@@ -323,6 +647,50 @@ mod tests {
             kde.grid(0.0, 1_200.0, 400),
             kde.density_grid(0.0, 1_200.0, 400)
         );
+    }
+
+    /// The whole-grid count `modes_on_grid` must reproduce: the mode rule
+    /// over every [`Kde::density_grid`] value.
+    fn whole_grid_modes(kde: &Kde, lo: f64, hi: f64, points: usize, min_height: f64) -> usize {
+        let grid = kde.density_grid(lo, hi, points);
+        let peak = grid.iter().map(|&(_, d)| d).fold(0.0_f64, f64::max);
+        if peak <= 0.0 {
+            return 0;
+        }
+        let threshold = peak * min_height;
+        (1..grid.len() - 1)
+            .filter(|&i| {
+                let d = grid[i].1;
+                d > threshold && d >= grid[i - 1].1 && d > grid[i + 1].1
+            })
+            .count()
+    }
+
+    #[test]
+    fn tied_neighbours_are_decided_on_exact_values() {
+        // Samples 4.25 and 4.75 sit symmetrically about the midpoint of
+        // grid points 4 and 5, so both points add the same two kernel
+        // terms in opposite orders: equal in exact arithmetic and bit for
+        // bit. At h = 0.05 each point's core (8h = 0.4) holds only the
+        // near sample and its window (√1500·h ≈ 1.94) the far one too, so
+        // the two bounds overlap and only the exact sums can tell that
+        // point 4 is not a mode (`d4 > d5` fails) and point 5 is.
+        let kde = Kde::fit_with_bandwidth(&[4.25, 4.75], 0.05).unwrap();
+        let (lo, hi, points) = (0.0, 10.0, 11);
+        let values = kde.density_grid(lo, hi, points);
+        assert_eq!(values[4].1.to_bits(), values[5].1.to_bits());
+        let grid = BoundedGrid::sweep(&kde, lo, hi, points);
+        assert!(!grid.points[4].exact && !grid.points[5].exact);
+        assert_eq!(gt(grid.bounds(4), grid.bounds(5)), None);
+        assert_eq!(ge(grid.bounds(5), grid.bounds(4)), None);
+        for min_height in [0.0, 0.2, 0.5, 1.0] {
+            assert_eq!(
+                kde.modes_on_grid(lo, hi, points, min_height),
+                whole_grid_modes(&kde, lo, hi, points, min_height),
+                "min_height {min_height}"
+            );
+        }
+        assert_eq!(kde.modes_on_grid(lo, hi, points, 0.2), 1);
     }
 
     #[test]

@@ -329,6 +329,75 @@ proptest! {
         }
     }
 
+    /// `modes_on_grid` decides its comparisons on bounded core sums and
+    /// sums whole windows only where they cannot tell; its count must
+    /// equal the whole-grid count for every sample shape, bandwidth,
+    /// threshold and grid, a NaN (of either sign) or ±inf sample included.
+    #[test]
+    fn kde_modes_match_whole_grid_count(
+        shape in 0..5usize,
+        seed in any::<u64>(),
+        n in 1..200usize,
+        points in 2..1001usize,
+        lo in -100.0..400.0f64,
+        span in 1.0..1200.0f64,
+        bandwidth in 0..4usize,
+        special in 0..8usize,
+    ) {
+        let hi = lo + span;
+        let step = span / (points - 1) as f64;
+        let mut rng = Rng::new(seed);
+        let mut data: Vec<f64> = match shape {
+            // A LEO/GEO-like normal mixture.
+            0 => (0..n)
+                .map(|i| if i % 3 == 0 { rng.normal_with(56.0, 5.0) } else { rng.normal_with(650.0, 60.0) })
+                .collect(),
+            // Duplicates on a few neighbouring grid points.
+            1 => {
+                let base = rng.below(points as u64);
+                (0..n)
+                    .map(|_| lo + step * (base + rng.below(3)).min(points as u64 - 1) as f64)
+                    .collect()
+            }
+            // Pairs symmetric about grid midpoints.
+            2 => (0..n.div_ceil(2))
+                .flat_map(|_| {
+                    let mid = lo + step * rng.below(points as u64 - 1) as f64 + step / 2.0;
+                    let offset = rng.range_f64(0.0, 2.0 * step);
+                    [mid - offset, mid + offset]
+                })
+                .collect(),
+            // All equal.
+            3 => vec![rng.range_f64(lo, hi); n],
+            // Uniform over the grid and a margin around it.
+            _ => (0..n).map(|_| rng.range_f64(lo - 50.0, hi + 50.0)).collect(),
+        };
+        match special {
+            // A negative NaN sorts first and empties every window.
+            4 => data.push(-f64::NAN),
+            5 => data.push(f64::NAN),
+            6 => data.push(f64::INFINITY),
+            7 => data.push(f64::NEG_INFINITY),
+            _ => {}
+        }
+        let kde = match bandwidth {
+            0 => Kde::fit(&data),
+            // Narrow enough that windows reach past cores between points.
+            1 => Kde::fit_with_bandwidth(&data, step / 7.0),
+            2 => Kde::fit_with_bandwidth(&data, step * 0.3),
+            _ => Kde::fit_with_bandwidth(&data, step * 3.0),
+        }
+        .unwrap();
+        for min_height in [0.0, 0.2, 0.5, 1.0] {
+            prop_assert_eq!(
+                kde.modes_on_grid(lo, hi, points, min_height),
+                whole_grid_modes(&kde, lo, hi, points, min_height),
+                "min_height {min_height}, bandwidth {}",
+                kde.bandwidth()
+            );
+        }
+    }
+
     /// Changepoint detection finds no shifts in a constant series, no
     /// matter its level, length, or the threshold.
     #[test]
@@ -341,4 +410,21 @@ proptest! {
         let shifts = detect_mean_shifts(&series, min_shift, 5);
         prop_assert!(shifts.is_empty(), "found {} shifts", shifts.len());
     }
+}
+
+/// The whole-grid mode count `Kde::modes_on_grid` must reproduce: local
+/// maxima above `min_height` × the peak, over every `density_grid` value.
+fn whole_grid_modes(kde: &Kde, lo: f64, hi: f64, points: usize, min_height: f64) -> usize {
+    let grid = kde.density_grid(lo, hi, points);
+    let peak = grid.iter().map(|&(_, d)| d).fold(0.0_f64, f64::max);
+    if peak <= 0.0 {
+        return 0;
+    }
+    let threshold = peak * min_height;
+    (1..grid.len() - 1)
+        .filter(|&i| {
+            let d = grid[i].1;
+            d > threshold && d >= grid[i - 1].1 && d > grid[i + 1].1
+        })
+        .count()
 }
