@@ -45,7 +45,9 @@ write_timings() {
     echo "wrote $out"
 }
 
-run build cargo build --release --offline
+# --workspace: the address-space gates below exec target/release/repro,
+# which lives in the sno-bench package, not the root package.
+run build cargo build --release --offline --workspace
 run test cargo test -q --offline --workspace
 run examples cargo build --examples --offline
 run benches cargo build --benches --offline -p sno-bench

@@ -8,19 +8,25 @@
 //! latency band.
 //!
 //! Every density value is one kernel sum times the normalising
-//! constant, and the sum is written once (`kernel_sum`): `z = (x − s)/h`,
-//! then `exp(−0.5·z²)`, added in sample order. [`Kde::density`] sums the
-//! whole sample; [`Kde::density_grid`] sums each grid point's *window*,
-//! the samples within `√1500` bandwidths, outside which every term is
-//! exactly `+0.0`, so the two agree bit for bit.
+//! constant, and the sum is written once (`kernel_sum`): each term is
+//! `term(x, h, s)`, `z = (x − s)/h` then `exp(−0.5·z²)`, added in sample
+//! order. [`Kde::density`] sums the whole sample; [`Kde::density_grid`]
+//! sums each grid point's *window*, the samples within `√1500`
+//! bandwidths, outside which every term is exactly `+0.0`, so the two
+//! agree bit for bit.
 //!
 //! [`Kde::modes_on_grid`] needs only the outcome of comparisons between
 //! grid values, not the values. It sums each point's *core*, the samples
 //! within 8 bandwidths, turns that sum into an interval that provably
 //! contains the window sum (every term outside the core is below
 //! `e^-32`), decides the comparisons on the intervals and sums a full
-//! window only where they overlap. The count equals the whole-grid count
-//! for every input; the density values themselves stay bitwise.
+//! window only where they overlap. The core sums pay no `exp` per term:
+//! a sample's terms on consecutive grid points are a Gaussian's values
+//! at equal steps, so after the first one (`term`) each is the previous
+//! times a ratio that itself shrinks by a constant factor, and the
+//! interval widens by a bound on that recurrence's error. The count
+//! equals the whole-grid count for every input; the density values
+//! themselves stay bitwise.
 
 use std::ops::Range;
 
@@ -30,8 +36,20 @@ use std::ops::Range;
 const CORE_RADIUS: f64 = 8.0;
 
 /// An upper bound on one kernel term outside the core: above `e^-32`
-/// with room for the rounding of `z` and of `exp`.
+/// with room for the rounding of `z` and of `exp`. Assumes the platform
+/// `exp(y)` is at most `1e-13` for `y <= −32`.
 const TAIL_TERM_MAX: f64 = 1e-13;
+
+/// `λ = 2^-40`: the assumed bound on `|ln(exp(y)) − y|` for the platform
+/// `exp` on every argument [`Kde::modes_on_grid`]'s core sums pass it
+/// (`|y| <= 65`). glibc documents at most 1 ulp (`2^-52`), a factor of
+/// 4,096 below it.
+const EXP_LOG_ERROR: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// The largest recurrence error `η` the core sums' bounds are used at;
+/// above it (or at a non-finite `η`) every comparison is made on exact
+/// values.
+const RECURRENCE_ERROR_MAX: f64 = 1e-3;
 
 /// A Gaussian KDE over a one-dimensional sample.
 ///
@@ -62,8 +80,7 @@ impl Kde {
         if samples.is_empty() {
             return None;
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
+        let sorted = sorted(samples);
         let n = sorted.len() as f64;
         let sigma = crate::quantile::std_dev(&sorted).unwrap_or(0.0);
         let iqr = crate::quantile::quantile_of_sorted(&sorted, 0.75)
@@ -91,15 +108,13 @@ impl Kde {
 
     /// Fit with an explicit bandwidth (used by the bandwidth ablation).
     ///
-    /// Returns `None` on empty input or non-positive bandwidth.
+    /// Returns `None` on empty input or a non-positive or NaN bandwidth.
     pub fn fit_with_bandwidth(samples: &[f64], bandwidth: f64) -> Option<Kde> {
-        if samples.is_empty() || bandwidth <= 0.0 {
+        if samples.is_empty() || bandwidth.is_nan() || bandwidth <= 0.0 {
             return None;
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
         Some(Kde {
-            samples: sorted,
+            samples: sorted(samples),
             bandwidth,
         })
     }
@@ -225,25 +240,61 @@ impl Kde {
     ///   `s > fl(x + r)`. Rounding to nearest then gives `|x − s| >= r`
     ///   exactly, so the computed `|z| >= fl(8h/h) = 8`, `0.5·z² >= 32`
     ///   and the term is at most `e^-32 ≈ 1.27e-14 < E = 1e-13`.
+    /// - The core sums take no `exp` per term. Both core ends never
+    ///   decrease with `x`, so a sample's *run*, the points whose core
+    ///   holds it, is contiguous. The samples are visited in ascending
+    ///   order and two pointers find each run, so every point still adds
+    ///   its core terms in sample order. With `w = step/h` and `z` the
+    ///   run's first `z`, the exact terms at `x + k·step` are
+    ///   `e^(−z²/2)·Π_{j<k} q₀·c^j` for `q₀ = exp(−(w·z + w²/2))` and
+    ///   `c = exp(−w²)`: the first term is `term`'s, each later one `t`
+    ///   is the previous times `q`, and `q` is multiplied by `c` after
+    ///   every step. That is at most two `exp` calls per sample.
+    /// - `η` bounds `|ln τ − ln κ|` for a recurrence term `τ` and the
+    ///   kernel term `κ = term(x, h, s)` at the same point, over runs of
+    ///   at most `K` steps, the longest in the sweep. Its parts: the
+    ///   rounding of `z` and of the exponent in the two kernel terms it
+    ///   links (`2 · 4ε · 34`, with `|exponent| <= 34`); `K` copies of the
+    ///   rounding of `q₀`'s argument (`4ε·(8.01·w + w²)`) and `K(K−1)/2`
+    ///   of `c`'s (`4ε·w²`); `K` multiplication roundings in `t` and
+    ///   `K(K−1)/2` in `q` (`ε` each); the grid's own rounding: `x_i` is
+    ///   within `B/2` of `lo + i·step` for `B = ε(|lo| + 2|hi − lo|)`, so
+    ///   the run's ideal spacing is off by up to `B` and the exponent by
+    ///   at most `B(16h + 2B)/h²`; and `λ` (`2^-40`, the assumed log
+    ///   error of the platform `exp`) for each of the `2 + K + K(K−1)/2`
+    ///   calls a term depends on. Every part but `λ`'s has a factor of at
+    ///   least 1.5 to spare, which covers the rounding of `η`'s own
+    ///   arithmetic, and `K·w <= 16.01` (both run ends lie within `r` of
+    ///   the sample) bounds the `q₀` and `c` arguments by 33 and 65. A
+    ///   subnormal `w` or `z` errs by under `1e-300`, which `λ` absorbs.
+    ///   With `K = 0` every term is `term`'s and `η = 0`.
+    /// - `η < 1e-3` keeps these premises: its grid part then makes
+    ///   `ε·|x|/h < 1e-4`, so a core sample lies within 8.0001 bandwidths
+    ///   of `x` (`fl(x ± r)` errs by `ε|x|/2`), and every term and ratio
+    ///   is a normal number. Once `K >= 1`, `η >= 2λ`, far above `ε`, so
+    ///   `fl(1 ∓ 2η)` covers `e^∓η` with room for the product's rounding:
+    ///   a core sum `C` of recurrence terms becomes `[C·(1 − 2η),
+    ///   C·(1 + 2η)]`, which holds the exact core sum of kernel terms up
+    ///   to the summation error below.
     /// - Summing `m` non-negative terms in order errs by at most
     ///   `γ_m = m·u/(1 − m·u)` of the exact sum (`u = ε/2`). With
     ///   `g = (m + 8)·ε` and `t` window terms outside the core, the
     ///   window sum `S` therefore lies in
-    ///   `[core·(1 − 2g), (core + t·E)·(1 + 2g)]`: `2g` is more than
+    ///   `[C_lo·(1 − 2g), (C_hi + t·E)·(1 + 2g)]`: `2g` is more than
     ///   twice the `≈ 2γ_m` the two sums' rounding can reach, enough to
     ///   also cover the rounding of the bound arithmetic itself
-    ///   (`1 ± 2g` are exact; a subnormal core bounds below by 0). With
-    ///   `t = 0` the core is the window and the sum is exact.
+    ///   (`1 ± 2g` are exact; a subnormal core bounds below by 0).
     /// - `density_grid` returns `fl(S·norm)`, and rounding is monotone,
     ///   so multiplying both bounds by `norm` bounds the grid value.
     /// - The peak, the threshold and each neighbour comparison are
     ///   decided on these intervals. A comparison they cannot decide
     ///   uses the exact window sum (the value `density_grid` computes,
     ///   by construction), memoized per point; an undecided threshold
-    ///   uses the exact peak. Grid points where the argument's premises
-    ///   fail (a non-finite `x`, or a bandwidth whose `8h` or `norm` is
-    ///   not finite) get unbounded intervals, so every comparison there
-    ///   is exact.
+    ///   uses the exact peak. Where the argument's premises fail (a
+    ///   non-finite `x` or `step`, a bandwidth whose `8h` or `norm` is
+    ///   not finite, or `η` not below `1e-3`) the points get unbounded
+    ///   intervals, so every comparison there is exact. The worst case
+    ///   costs the sweep plus one whole-grid evaluation.
     ///
     /// # Panics
     /// Panics if `points < 2` or `lo >= hi`.
@@ -285,16 +336,37 @@ impl Kde {
     }
 }
 
-/// The one kernel sum every density value comes from: `exp(−0.5·z²)`
-/// for `z = (x − s)/h`, added over `samples` in order.
-fn kernel_sum(x: f64, h: f64, samples: &[f64]) -> f64 {
-    samples
+/// A copy of `samples` in `f64::total_cmp` order, sorted as the `i64`
+/// keys that `total_cmp` compares. Distinct bits make distinct keys, so
+/// the result equals `sort_by(f64::total_cmp)`'s bit for bit.
+fn sorted(samples: &[f64]) -> Vec<f64> {
+    let mut keys: Vec<i64> = samples
         .iter()
-        .map(|&s| {
-            let z = (x - s) / h;
-            (-0.5 * z * z).exp()
-        })
-        .sum()
+        .map(|s| total_order_key(s.to_bits() as i64))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|k| f64::from_bits(total_order_key(k) as u64))
+        .collect()
+}
+
+/// `f64::total_cmp`'s key for the bits of an `f64`: every bit but the
+/// sign flipped on negatives. The map is its own inverse.
+fn total_order_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The one kernel sum every density value comes from: [`term`] added
+/// over `samples` in order.
+fn kernel_sum(x: f64, h: f64, samples: &[f64]) -> f64 {
+    samples.iter().map(|&s| term(x, h, s)).sum()
+}
+
+/// The kernel term of sample `s` at `x`: `exp(−0.5·z²)` for
+/// `z = (x − s)/h`.
+fn term(x: f64, h: f64, s: f64) -> f64 {
+    let z = (x - s) / h;
+    (-0.5 * z * z).exp()
 }
 
 /// The step between `points` equally spaced grid points on `[lo, hi]`.
@@ -346,6 +418,8 @@ struct GridPoint {
     x: f64,
     /// The samples [`Kde::density_grid`] sums at `x`.
     window: Range<usize>,
+    /// The samples within `8h` of `x`, whose terms the bounds sum.
+    core: Range<usize>,
     /// Closed bounds on `density_grid`'s value at `x`; equal once `exact`.
     bounds: (f64, f64),
     exact: bool,
@@ -361,41 +435,47 @@ struct BoundedGrid<'a> {
 }
 
 impl<'a> BoundedGrid<'a> {
-    /// One sweep: each grid point's window and core, and the core sum
-    /// turned into bounds on the window's density (see
-    /// [`Kde::modes_on_grid`] for the argument).
+    /// One sweep: each grid point's window and core, the core sums from
+    /// [`core_sums`], and each core sum turned into bounds on the
+    /// window's density (see [`Kde::modes_on_grid`] for the argument).
     fn sweep(kde: &'a Kde, lo: f64, hi: f64, points: usize) -> BoundedGrid<'a> {
         let step = grid_step(lo, hi, points);
         let (samples, h, norm) = (&kde.samples[..], kde.bandwidth, kde.norm());
         let radius = CORE_RADIUS * h;
-        // The premises of the bounds: finite terms in [0, 1], an exact
-        // `r/h = 8`, and a `norm` that maps sums monotonically.
-        let boundable = h > 0.0 && radius.is_finite() && norm.is_finite() && norm > 0.0;
         let mut window = Cursor::new(kde.window_radius());
         let mut core = Cursor::new(radius);
-        let points = (0..points)
+        let mut points: Vec<GridPoint> = (0..points)
             .map(|i| {
                 let x = lo + step * i as f64;
                 let window = window.advance(samples, x, 0..samples.len());
                 let core = core.advance(samples, x, window.clone());
-                let sum = kernel_sum(x, h, &samples[core.clone()]);
-                let tails = window.len() - core.len();
-                let (bounds, exact) = if tails == 0 {
-                    ((sum * norm, sum * norm), true)
-                } else if boundable && x.is_finite() {
-                    let (lo, hi) = window_sum_bounds(sum, window.len(), tails);
-                    ((lo * norm, hi * norm), false)
-                } else {
-                    ((f64::NEG_INFINITY, f64::INFINITY), false)
-                };
                 GridPoint {
                     x,
                     window,
-                    bounds,
-                    exact,
+                    core,
+                    bounds: (f64::NEG_INFINITY, f64::INFINITY),
+                    exact: false,
                 }
             })
             .collect();
+        // The premises of the bounds: finite terms in [0, 1], an exact
+        // `r/h = 8`, a finite step, and a `norm` that maps sums
+        // monotonically.
+        if h > 0.0 && radius.is_finite() && step.is_finite() && norm.is_finite() && norm > 0.0 {
+            let w = step / h;
+            let (sums, longest) = core_sums(samples, &points, h, w);
+            let eta = recurrence_error(longest, w, h, lo, hi);
+            if eta < RECURRENCE_ERROR_MAX {
+                for (p, sum) in points.iter_mut().zip(sums) {
+                    if p.x.is_finite() {
+                        let core = (sum * (1.0 - 2.0 * eta), sum * (1.0 + 2.0 * eta));
+                        let tails = p.window.len() - p.core.len();
+                        let (lo, hi) = window_sum_bounds(core, p.window.len(), tails);
+                        p.bounds = (lo * norm, hi * norm);
+                    }
+                }
+            }
+        }
         BoundedGrid {
             samples,
             h,
@@ -473,17 +553,75 @@ impl Threshold {
     }
 }
 
+/// Each grid point's core sum, and the longest run in steps (see
+/// [`Kde::modes_on_grid`]). Samples are visited in ascending order; the
+/// points whose core holds a sample are `first..end`, and both move
+/// forward only. A run's first term is [`term`]'s, and each later one
+/// is the previous times `q`, with `q` multiplied by `c` after every
+/// step.
+fn core_sums(samples: &[f64], points: &[GridPoint], h: f64, w: f64) -> (Vec<f64>, usize) {
+    let c = (-(w * w)).exp();
+    let mut sums = vec![0.0; points.len()];
+    let (mut first, mut end, mut longest) = (0, 0, 0);
+    let held = points.first().map_or(0, |p| p.core.start)..points.last().map_or(0, |p| p.core.end);
+    for (j, &s) in samples.iter().enumerate().take(held.end).skip(held.start) {
+        while end < points.len() && points[end].core.start <= j {
+            end += 1;
+        }
+        while first < end && points[first].core.end <= j {
+            first += 1;
+        }
+        if first == end {
+            continue;
+        }
+        let x = points[first].x;
+        let mut t = term(x, h, s);
+        sums[first] += t;
+        if end - first > 1 {
+            let z = (x - s) / h;
+            let mut q = (-(w * z + 0.5 * w * w)).exp();
+            for sum in &mut sums[first + 1..end] {
+                t *= q;
+                *sum += t;
+                q *= c;
+            }
+        }
+        longest = longest.max(end - first - 1);
+    }
+    (sums, longest)
+}
+
+/// `η`: a bound on `|ln τ − ln κ|` between a recurrence term `τ` of
+/// [`core_sums`] and the kernel term `κ` at the same point, for runs of
+/// at most `k` steps of `w = step/h` over the grid `lo + i·step` (see
+/// [`Kde::modes_on_grid`] for each part).
+fn recurrence_error(k: usize, w: f64, h: f64, lo: f64, hi: f64) -> f64 {
+    if k == 0 {
+        return 0.0;
+    }
+    let (eps, k) = (f64::EPSILON, k as f64);
+    let pairs = k * (k - 1.0) / 2.0;
+    let kernel_terms = 2.0 * 4.0 * eps * 34.0;
+    let arguments = k * 4.0 * eps * (8.01 * w + w * w) + pairs * 4.0 * eps * w * w;
+    let products = (k + pairs) * eps;
+    // `B/h`, so that `B(16h + 2B)/h²` cannot overflow.
+    let b = eps * (lo.abs() + 2.0 * (hi - lo).abs()) / h;
+    let grid = b * (16.0 + 2.0 * b);
+    let exp_calls = (2.0 + k + pairs) * EXP_LOG_ERROR;
+    kernel_terms + arguments + products + grid + exp_calls
+}
+
 /// Bounds on the ordered sum of a window of `window_len` kernel terms,
-/// from the ordered sum `core` of its core, when `tails` of its terms lie
-/// outside the core (see [`Kde::modes_on_grid`]).
-fn window_sum_bounds(core: f64, window_len: usize, tails: usize) -> (f64, f64) {
+/// from bounds `core` on the ordered sum of its core, when `tails` of
+/// its terms lie outside the core (see [`Kde::modes_on_grid`]).
+fn window_sum_bounds(core: (f64, f64), window_len: usize, tails: usize) -> (f64, f64) {
     let g = (window_len + 8) as f64 * f64::EPSILON;
-    let lo = if core.is_normal() {
-        core * (1.0 - 2.0 * g)
+    let lo = if core.0.is_normal() {
+        core.0 * (1.0 - 2.0 * g)
     } else {
         0.0
     };
-    let hi = (core + tails as f64 * TAIL_TERM_MAX) * (1.0 + 2.0 * g);
+    let hi = (core.1 + tails as f64 * TAIL_TERM_MAX) * (1.0 + 2.0 * g);
     (lo, hi)
 }
 
@@ -533,6 +671,32 @@ mod tests {
         assert!(Kde::fit(&[]).is_none());
         assert!(Kde::fit_with_bandwidth(&[], 1.0).is_none());
         assert!(Kde::fit_with_bandwidth(&[1.0], 0.0).is_none());
+        // `NaN <= 0.0` is false, so a NaN bandwidth needs its own check.
+        assert!(Kde::fit_with_bandwidth(&[10.0, 20.0, 30.0], f64::NAN).is_none());
+        assert!(Kde::fit_with_bandwidth(&[10.0, 20.0, 30.0], -f64::NAN).is_none());
+    }
+
+    #[test]
+    fn key_sort_matches_total_cmp_sort_bitwise() {
+        let mut samples = vec![
+            3.0,
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -3.0,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+            3.0,
+        ];
+        let mut rng = sno_types::Rng::new(7);
+        samples.extend((0..500).map(|_| rng.normal_with(0.0, 1e3)));
+        let mut expected = samples.clone();
+        expected.sort_by(f64::total_cmp);
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sorted(&samples)), bits(&expected));
     }
 
     #[test]
@@ -691,6 +855,59 @@ mod tests {
             );
         }
         assert_eq!(kde.modes_on_grid(lo, hi, points, 0.2), 1);
+    }
+
+    #[test]
+    fn sweep_intervals_hold_the_grid_values() {
+        // Grids far from zero (so the grid's rounding counts), bandwidths
+        // from step/256 (runs of at most one point) to 64 steps (runs
+        // across the whole grid) and up to 3,000 samples.
+        let mut rng = sno_types::Rng::new(14);
+        let (mut bounded, mut longest_seen) = (0, 0);
+        for case in 0..120 {
+            let points = 2 + rng.below(399) as usize;
+            let lo = rng.range_f64(-1e4, 1e4);
+            let span = rng.range_f64(1.0, 1_200.0);
+            let hi = lo + span;
+            let step = grid_step(lo, hi, points);
+            let h = step * 2f64.powf(rng.range_f64(-8.0, 6.0));
+            let n = 1 + rng.below(3_000) as usize;
+            let samples: Vec<f64> = (0..n)
+                .map(|i| match i % 3 {
+                    0 => rng.normal_with(lo + 0.05 * span, 0.02 * span),
+                    1 => rng.normal_with(lo + 0.55 * span, 0.1 * span),
+                    _ => rng.range_f64(lo - 0.1 * span, hi + 0.1 * span),
+                })
+                .collect();
+            let kde = Kde::fit_with_bandwidth(&samples, h).unwrap();
+            let grid = BoundedGrid::sweep(&kde, lo, hi, points);
+            let (_, longest) = core_sums(&kde.samples, &grid.points, h, step / h);
+            let eta = recurrence_error(longest, step / h, h, lo, hi);
+            assert!(eta < 1e-6, "case {case}: η {eta}");
+            longest_seen = longest_seen.max(longest);
+            let values = kde.density_grid(lo, hi, points);
+            for (i, (p, &(x, d))) in grid.points.iter().zip(&values).enumerate() {
+                assert_eq!(p.x.to_bits(), x.to_bits());
+                let (lo_b, hi_b) = p.bounds;
+                assert!(
+                    lo_b <= d && d <= hi_b,
+                    "case {case} point {i}: {d} outside [{lo_b}, {hi_b}], η {eta}"
+                );
+                // Not vacuous: with a normal core sum and no tails the
+                // width is `4η + 4g` of the value, plus a few roundings.
+                if lo_b > 0.0 && p.window == p.core {
+                    let g = (p.window.len() + 8) as f64 * f64::EPSILON;
+                    let width = (hi_b - lo_b) / lo_b;
+                    assert!(
+                        width <= 1.01 * (4.0 * eta + 5.0 * g),
+                        "case {case} point {i}: relative width {width}, η {eta}, g {g}"
+                    );
+                    bounded += 1;
+                }
+            }
+        }
+        assert!(bounded > 1_000, "{bounded} points checked for width");
+        assert!(longest_seen >= 300, "longest run {longest_seen} steps");
     }
 
     #[test]
