@@ -41,9 +41,9 @@ const CORE_RADIUS: f64 = 8.0;
 const TAIL_TERM_MAX: f64 = 1e-13;
 
 /// `λ = 2^-40`: the assumed bound on `|ln(exp(y)) − y|` for the platform
-/// `exp` on every argument [`Kde::modes_on_grid`]'s core sums pass it
-/// (`|y| <= 65`). glibc documents at most 1 ulp (`2^-52`), a factor of
-/// 4,096 below it.
+/// `exp` on every argument whose result [`Kde::modes_on_grid`]'s bounds
+/// use (`|y| <= 65`). glibc documents at most 1 ulp (`2^-52`), a factor
+/// of 4,096 below it.
 const EXP_LOG_ERROR: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// The largest recurrence error `η` the core sums' bounds are used at;
@@ -262,20 +262,20 @@ impl Kde {
     ///   the run's ideal spacing is off by up to `B` and the exponent by
     ///   at most `B(16h + 2B)/h²`; and `λ` (`2^-40`, the assumed log
     ///   error of the platform `exp`) for each of the `2 + K + K(K−1)/2`
-    ///   calls a term depends on. Every part but `λ`'s has a factor of at
-    ///   least 1.5 to spare, which covers the rounding of `η`'s own
-    ///   arithmetic, and `K·w <= 16.01` (both run ends lie within `r` of
-    ///   the sample) bounds the `q₀` and `c` arguments by 33 and 65. A
-    ///   subnormal `w` or `z` errs by under `1e-300`, which `λ` absorbs.
-    ///   With `K = 0` every term is `term`'s and `η = 0`.
+    ///   calls a term depends on and the 2 that give `e^±η` below. Every
+    ///   part but `λ`'s has a factor of at least 1.5 to spare, which
+    ///   covers the rounding of `η`'s own arithmetic and of the two
+    ///   products by `e^±η`, and `K·w <= 16.01` (both run ends lie within
+    ///   `r` of the sample) bounds the `q₀` and `c` arguments by 33 and
+    ///   65. A subnormal `w` or `z` errs by under `1e-300`, which `λ`
+    ///   absorbs. With `K = 0` every term is `term`'s and `η = 0`.
     /// - `η < 1e-3` keeps these premises: its grid part then makes
     ///   `ε·|x|/h < 1e-4`, so a core sample lies within 8.0001 bandwidths
     ///   of `x` (`fl(x ± r)` errs by `ε|x|/2`), and every term and ratio
-    ///   is a normal number. Once `K >= 1`, `η >= 2λ`, far above `ε`, so
-    ///   `fl(1 ∓ 2η)` covers `e^∓η` with room for the product's rounding:
-    ///   a core sum `C` of recurrence terms becomes `[C·(1 − 2η),
-    ///   C·(1 + 2η)]`, which holds the exact core sum of kernel terms up
-    ///   to the summation error below.
+    ///   is a normal number. A core sum `C` of recurrence terms becomes
+    ///   `[C·e^−η, C·e^η]`, which holds the exact core sum of kernel
+    ///   terms up to the summation error below (`exp(±0)` is exactly 1,
+    ///   so with `η = 0` it is `[C, C]`).
     /// - Summing `m` non-negative terms in order errs by at most
     ///   `γ_m = m·u/(1 − m·u)` of the exact sum (`u = ε/2`). With
     ///   `g = (m + 8)·ε` and `t` window terms outside the core, the
@@ -466,9 +466,11 @@ impl<'a> BoundedGrid<'a> {
             let (sums, longest) = core_sums(samples, &points, h, w);
             let eta = recurrence_error(longest, w, h, lo, hi);
             if eta < RECURRENCE_ERROR_MAX {
+                // `e^∓η`: both exactly 1 when `η = 0`.
+                let spread = ((-eta).exp(), eta.exp());
                 for (p, sum) in points.iter_mut().zip(sums) {
                     if p.x.is_finite() {
-                        let core = (sum * (1.0 - 2.0 * eta), sum * (1.0 + 2.0 * eta));
+                        let core = (sum * spread.0, sum * spread.1);
                         let tails = p.window.len() - p.core.len();
                         let (lo, hi) = window_sum_bounds(core, p.window.len(), tails);
                         p.bounds = (lo * norm, hi * norm);
@@ -563,8 +565,7 @@ fn core_sums(samples: &[f64], points: &[GridPoint], h: f64, w: f64) -> (Vec<f64>
     let c = (-(w * w)).exp();
     let mut sums = vec![0.0; points.len()];
     let (mut first, mut end, mut longest) = (0, 0, 0);
-    let held = points.first().map_or(0, |p| p.core.start)..points.last().map_or(0, |p| p.core.end);
-    for (j, &s) in samples.iter().enumerate().take(held.end).skip(held.start) {
+    for (j, &s) in samples.iter().enumerate() {
         while end < points.len() && points[end].core.start <= j {
             end += 1;
         }
@@ -593,8 +594,8 @@ fn core_sums(samples: &[f64], points: &[GridPoint], h: f64, w: f64) -> (Vec<f64>
 
 /// `η`: a bound on `|ln τ − ln κ|` between a recurrence term `τ` of
 /// [`core_sums`] and the kernel term `κ` at the same point, for runs of
-/// at most `k` steps of `w = step/h` over the grid `lo + i·step` (see
-/// [`Kde::modes_on_grid`] for each part).
+/// at most `k` steps of `w = step/h` over the grid `lo + i·step`, with
+/// room for computing `e^±η` (see [`Kde::modes_on_grid`] for each part).
 fn recurrence_error(k: usize, w: f64, h: f64, lo: f64, hi: f64) -> f64 {
     if k == 0 {
         return 0.0;
@@ -607,7 +608,7 @@ fn recurrence_error(k: usize, w: f64, h: f64, lo: f64, hi: f64) -> f64 {
     // `B/h`, so that `B(16h + 2B)/h²` cannot overflow.
     let b = eps * (lo.abs() + 2.0 * (hi - lo).abs()) / h;
     let grid = b * (16.0 + 2.0 * b);
-    let exp_calls = (2.0 + k + pairs) * EXP_LOG_ERROR;
+    let exp_calls = (4.0 + k + pairs) * EXP_LOG_ERROR;
     kernel_terms + arguments + products + grid + exp_calls
 }
 
@@ -894,12 +895,13 @@ mod tests {
                     "case {case} point {i}: {d} outside [{lo_b}, {hi_b}], η {eta}"
                 );
                 // Not vacuous: with a normal core sum and no tails the
-                // width is `4η + 4g` of the value, plus a few roundings.
+                // width is `2η + 4g` of the value, up to second-order
+                // terms and a few roundings.
                 if lo_b > 0.0 && p.window == p.core {
                     let g = (p.window.len() + 8) as f64 * f64::EPSILON;
                     let width = (hi_b - lo_b) / lo_b;
                     assert!(
-                        width <= 1.01 * (4.0 * eta + 5.0 * g),
+                        width <= 1.001 * (2.0 * eta + 4.0 * g) + 8.0 * f64::EPSILON,
                         "case {case} point {i}: relative width {width}, η {eta}, g {g}"
                     );
                     bounded += 1;

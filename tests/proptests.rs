@@ -351,7 +351,11 @@ proptest! {
         let mut rng = Rng::new(seed);
         // The wide arms fit up to 2,000 mixture samples, as real buckets
         // do, with runs of hundreds of steps.
-        let (shape, n) = if bandwidth >= 4 { (0, 1 + rng.below(2000) as usize) } else { (shape, n) };
+        let (shape, n) = if bandwidth >= 4 {
+            (0, 1 + rng.below(2000) as usize)
+        } else {
+            (shape, n)
+        };
         let mut data: Vec<f64> = match shape {
             // A LEO/GEO-like normal mixture.
             0 => (0..n)
