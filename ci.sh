@@ -89,8 +89,8 @@ fi
 # incremental OnlineIdentifier, then run the batch streamed pipeline
 # over the same corpus and fail on any verdict mismatch (acceptance
 # bits, catalog, thresholds, per-operator latencies, rendered report).
-# Also snapshots again after compact() and fails if the compacted log
-# diverges from the batch run. The steady-state snapshot latency itself
+# Also snapshots a second time, after the no-op compact(), and fails if
+# that answer diverges from the batch run. The steady-state snapshot latency itself
 # is budgeted in the perf gate above: BUDGETS in repro.rs caps
 # online_snapshot_steady (the incremental, post-warm-up snapshot) at an
 # absolute ceiling, so snapshot() silently regressing back to
@@ -145,17 +145,25 @@ run sim-gate cargo run --release --offline -p sno-bench --bin repro -- \
 # (VmHWM), and the memory gate's ~346 MB vs ~21 MB. One arena makes the
 # ceilings count data again (the materialized path still aborts under
 # the memory gate's); the ceilings, scales and budgets themselves are
-# unchanged.
+# unchanged. Measured again with one arena on a 2-vCPU box once the
+# accept decisions replayed from pass-1 state (two-pass → replay):
+# this gate's run 15.9-18.0 → 8.4-8.6 s, VmHWM 9.1-9.2 → 9.3-10.6 MB,
+# VmPeak 17.5-19.6 → 17.5-19.2 MB; see README "CI gates".
 run memory-gate bash -c \
     'export MALLOC_ARENA_MAX=1; ulimit -v 24576; exec ./target/release/repro table1 --scale 2e-2 --chunk 4096 >/dev/null'
 
 # Paper-scale gate: the streamed pipeline drives a paper-sized corpus
-# end to end — chunked generation, parallel two-pass identification,
-# heartbeats for liveness — under a wall-clock budget (timeout) and an
-# address-space ceiling sized at ~2x the measured run (see README "CI
-# gates" for the numbers). Routine CI runs SNO_CI_SCALE=1e-1 (measured
-# 113 s wall / 40 MB address-space peak on the 1-core reference box);
-# nightly runs the full paper volume (measured 1107 s / 278 MB) with
+# end to end — chunked generation, a parallel statistics pass and the
+# accept replay, heartbeats for liveness — under a wall-clock budget
+# (timeout) and an address-space ceiling sized at ~2x the measured run
+# (see README "CI gates" for the numbers). Routine CI runs
+# SNO_CI_SCALE=1e-1 (measured
+# 113 s wall / 40 MB address-space peak on the 1-core reference box
+# with the two-pass pipeline; with the replay, on a 2-vCPU box with
+# one arena, 83.5-87.8 → 41.9-44.3 s, VmHWM 24.4-24.7 → 26.4-27.1 MB,
+# VmPeak 41.4-45.1 → 45.1-45.5 MB); nightly runs the full paper volume
+# (measured 1107 s / 278 MB; on the 2-vCPU box 767 → 379 s, VmPeak
+# 250.8 → 284.6 MB) with
 #   SNO_CI_SCALE=1 SNO_CI_BUDGET_S=2400 SNO_CI_ULIMIT_KB=573440 ./ci.sh
 SNO_CI_SCALE="${SNO_CI_SCALE:-1e-1}"
 SNO_CI_BUDGET_S="${SNO_CI_BUDGET_S:-600}"

@@ -140,7 +140,7 @@ impl ReproContext {
     }
 
     /// The streamed pipeline report: chunked generation, per-chunk
-    /// statistics, and a bitmap accept pass — the NDT corpus is never
+    /// statistics, and a bitmap accept replay — the NDT corpus is never
     /// materialized. Byte-identical catalog/thresholds to
     /// [`ReproContext::report`].
     pub fn streamed(&self) -> &StreamedReport {
@@ -148,9 +148,10 @@ impl ReproContext {
             let generator = MlabGenerator::new(self.config.clone());
             let chunk_len = self.chunk_len();
             Pipeline::with_threads(self.config.threads).run_streamed(
+                // The generator runs once: the accept decisions replay
+                // from the statistics pass, so this path never holds the
+                // corpus and backs the constant-memory CI gates.
                 || generator.generate_chunks(chunk_len),
-                // No encoded replay here: this path backs the
-                // constant-memory CI gate, so pass 2 regenerates.
                 StreamOptions {
                     operator_latencies: true,
                     progress_every: self.progress_every,

@@ -1,22 +1,35 @@
-//! Precomputed per-ASN decision tables for the columnar accept and
-//! statistics passes.
+//! Precomputed per-ASN decision tables for the statistics fold and the
+//! accept replay.
 //!
 //! The row path re-derives the same facts for every record: a linear
 //! [`AsnMapping::operator_of`] scan, a verdict lookup, the registry's
 //! access kind, and the operator threshold. All of those are functions
 //! of the ASN alone — only the final latency comparison needs the
 //! record. This module folds the per-ASN work into sorted lookup
-//! tables built once per pipeline run, so the per-record cost drops to
-//! a binary search over ~67 ASNs plus one comparison, with decisions
-//! *identical* to the row-at-a-time reference (`row_accept`, kept in
-//! this module's tests as the oracle the table is checked against).
+//! tables built once per pipeline run. The statistics fold resolves
+//! each record's ASN to its [`Slot`] once (a binary search over ~67
+//! ASNs); the accept decision is then an array lookup by slot plus one
+//! comparison, with decisions *identical* to the row-at-a-time
+//! reference (`row_accept`, kept in this module's tests as the oracle
+//! the table is checked against).
 
 use crate::asn_map::AsnMapping;
 use crate::prefix_filter::MEO_FLOOR_MS;
-use crate::stream::{AcceptPass, StreamOptions};
+use crate::stream::{AcceptPass, CorpusStats, StreamOptions};
 use crate::validate::AsnVerdict;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass};
 use std::collections::BTreeMap;
+
+/// A record's *slot*: its ASN's position in the sorted [`AsnOps`] index,
+/// which is also the position of the ASN's rule in the [`AcceptTable`],
+/// or [`UNMAPPED`] for an ASN outside the curated mapping. The
+/// statistics pass keeps one per record, in record order
+/// ([`CorpusStats::slots`]).
+pub type Slot = u16;
+
+/// The slot of every ASN the curated mapping does not list (the curated
+/// mapping's 67 ASNs take slots `0..67`).
+pub const UNMAPPED: Slot = Slot::MAX;
 
 /// Sorted ASN→operator index: what [`AsnMapping::operator_of`] answers,
 /// without the per-call linear scan. Ties (an ASN listed under two
@@ -28,8 +41,7 @@ pub struct AsnOps {
     ops: Vec<Operator>,
     /// The operator for the *prefix-statistics* path: `None` for ASNs
     /// of LEO-including operators (identified at ASN granularity, so
-    /// the strict prefix filter never sees them) as well as unmapped
-    /// ASNs.
+    /// the strict prefix filter never sees them).
     prefix_ops: Vec<Option<Operator>>,
 }
 
@@ -67,11 +79,19 @@ impl AsnOps {
         Some(self.ops[i])
     }
 
-    /// The operator an ASN contributes prefix statistics to: `None`
-    /// for unmapped ASNs and LEO-including operators.
-    pub fn prefix_op(&self, asn: Asn) -> Option<Operator> {
-        let i = self.asns.binary_search(&asn).ok()?;
-        self.prefix_ops[i]
+    /// The slot of an ASN: its position in this index, or [`UNMAPPED`].
+    pub fn slot(&self, asn: Asn) -> Slot {
+        self.asns
+            .binary_search(&asn)
+            .ok()
+            .and_then(|i| Slot::try_from(i).ok())
+            .unwrap_or(UNMAPPED)
+    }
+
+    /// The operator a slot contributes prefix statistics to: `None`
+    /// for [`UNMAPPED`] and for LEO-including operators.
+    pub fn prefix_op(&self, slot: Slot) -> Option<Operator> {
+        self.prefix_ops.get(usize::from(slot)).copied().flatten()
     }
 }
 
@@ -88,8 +108,31 @@ enum AsnRule {
     AtLeast(Operator, f64),
 }
 
+impl AsnRule {
+    /// Decide one record of this rule's ASN from its p5 latency (ms).
+    fn decide(self, latency_ms: f64) -> Option<Operator> {
+        match self {
+            AsnRule::Reject => None,
+            AsnRule::Accept(op) => Some(op),
+            AsnRule::AboveExclusive(op, floor) => (latency_ms > floor).then_some(op),
+            AsnRule::AtLeast(op, threshold) => (latency_ms >= threshold).then_some(op),
+        }
+    }
+
+    /// The operator an accepted record is attributed to.
+    fn operator(self) -> Option<Operator> {
+        match self {
+            AsnRule::Reject => None,
+            AsnRule::Accept(op) | AsnRule::AboveExclusive(op, _) | AsnRule::AtLeast(op, _) => {
+                Some(op)
+            }
+        }
+    }
+}
+
 /// The per-ASN accept table: stage 4's decision logic with everything
-/// but the latency comparison precomputed.
+/// but the latency comparison precomputed, one rule per [`AsnOps`] slot
+/// in slot order.
 ///
 /// Equality compares every rule bit-for-bit (thresholds included) —
 /// the incremental path uses it as the *epoch trigger*: as long as the
@@ -144,53 +187,61 @@ impl AcceptTable {
     /// Decide one record from its ASN and p5 latency (ms).
     pub fn decide(&self, asn: Asn, latency_ms: f64) -> Option<Operator> {
         let i = self.asns.binary_search(&asn).ok()?;
-        match self.rules[i] {
-            AsnRule::Reject => None,
-            AsnRule::Accept(op) => Some(op),
-            AsnRule::AboveExclusive(op, floor) => (latency_ms > floor).then_some(op),
-            AsnRule::AtLeast(op, threshold) => (latency_ms >= threshold).then_some(op),
-        }
+        self.rules.get(i)?.decide(latency_ms)
     }
 }
 
-/// Persistent acceptance state for the incremental online path.
+/// Acceptance state over the records folded into a [`CorpusStats`]:
+/// stage 4's per-record decisions, kept across calls so that deciding
+/// newly folded records costs O(delta).
 ///
-/// Pass 2 of the streamed pipeline decides every record against the
-/// [`AcceptTable`] derived from pass-1 statistics; replaying it per
-/// snapshot costs O(corpus). `AcceptState` keeps the pass-2 outputs
-/// (per-operator counts, [`AcceptBitmap`], optional dense vector and
-/// per-operator samples) *across* snapshots, together with the exact
-/// table they were decided under, so a snapshot only has to:
+/// An accept decision reads a record's ASN and p5 latency only, and
+/// pass 1 already keeps both in record order: the slot column
+/// ([`CorpusStats::slots`]) and the per-ASN latency buckets (`by_asn`).
+/// The k-th record of a slot carries the k-th latency of that slot's
+/// bucket, so [`AcceptState::replay`] decides records by walking the
+/// slot column with one cursor per slot into the buckets, without a
+/// second pass over the source.
+/// [`Pipeline::run_streamed`](crate::pipeline::Pipeline::run_streamed)
+/// replays every record once. The online identifier keeps the state
+/// across snapshots, with the exact table it was decided under, so a
+/// snapshot only has to:
 ///
 /// 1. re-derive the table from the updated statistics;
 /// 2. if it equals the stored table ([`AcceptState::compatible`]),
-///    absorb just the frames appended since `decided` — O(delta);
-/// 3. otherwise bump the epoch ([`AcceptState::reset`]) and re-decide
-///    the whole stream — the *bounded re-replay*: compacted frames
-///    replay from their retained `(asn)` slots plus the cumulative
-///    per-ASN latency buckets ([`AcceptState::replay_compacted`]),
-///    resident frames through the normal chunked accept pass.
+///    replay just the records folded since `decided` — O(delta);
+/// 3. otherwise bump the epoch ([`AcceptState::reset`]) and replay the
+///    whole slot column.
 ///
-/// Because every row decision goes through
-/// [`AcceptPass::decide_into`] in stream order, the state after any
-/// schedule of steps 2–3 is byte-identical to one serial accept pass
-/// over the full stream — the invariant the online determinism suite
-/// pins.
+/// Every record is decided by its slot's rule in record order, so the
+/// state after any schedule of steps 2–3 is byte-identical to one
+/// replay over the full stream — the invariant the online determinism
+/// suite pins.
 #[derive(Debug, Clone, Default)]
 pub struct AcceptState {
     /// Bumps every time the table shifted and the stream was re-decided.
     epoch: u64,
     /// The table the current pass state was decided under; `None` until
-    /// the first snapshot (or after an invalidating merge).
+    /// the first [`AcceptState::reset`].
     table: Option<AcceptTable>,
     /// The accept-pass outputs accumulated so far.
-    pass: Option<AcceptPass>,
+    pass: AcceptPass,
     /// Pass options the state was built under (dense vector and
     /// per-operator samples are shape-changing, so a flip invalidates).
     opts: StreamOptions,
-    /// Frames decided so far — a high-water index into the record
-    /// stream (compacted frames included).
+    /// Records decided so far: a high-water index into the slot column.
     decided: usize,
+    /// Per-slot read positions in the `by_asn` buckets: how many records
+    /// of each curated ASN are decided.
+    cursors: Vec<usize>,
+}
+
+/// One slot's rule, latency bucket and cursor during a replay.
+struct Lane<'a> {
+    rule: AsnRule,
+    bucket: &'a [f64],
+    cursor: usize,
+    accepted: u64,
 }
 
 impl AcceptState {
@@ -206,12 +257,12 @@ impl AcceptState {
         self.epoch
     }
 
-    /// Frames decided so far (high-water index into the stream).
+    /// Records decided so far (high-water index into the slot column).
     pub fn decided(&self) -> usize {
         self.decided
     }
 
-    /// Can the current state absorb new frames under `table`, or must
+    /// Can the current state absorb new records under `table`, or must
     /// the stream be re-decided? True iff the freshly derived table
     /// equals the stored one and the pass shape (dense / latencies)
     /// matches.
@@ -222,96 +273,107 @@ impl AcceptState {
     }
 
     /// Start a new epoch under `table`: drop all decisions, keep the
-    /// epoch counter monotone. The caller replays the stream from
-    /// frame 0 afterwards.
+    /// epoch counter monotone. The next [`AcceptState::replay`] decides
+    /// from record 0.
     pub(crate) fn reset(&mut self, table: AcceptTable, opts: StreamOptions) {
         self.epoch += 1;
-        self.pass = Some(AcceptPass::empty(opts));
+        self.pass = AcceptPass::empty(opts);
         self.table = Some(table);
         self.opts = opts;
         self.decided = 0;
+        self.cursors.clear();
     }
 
-    /// Forget the table (e.g. after a merge of differently-tabled
-    /// shards): the next snapshot re-derives and re-decides.
-    pub(crate) fn invalidate(&mut self) {
-        self.table = None;
-        self.pass = None;
-        self.decided = 0;
-    }
-
-    /// Absorb an accept pass over `frames` stream frames appended after
-    /// the `decided` high-water mark.
-    pub(crate) fn absorb(&mut self, pass: AcceptPass, frames: usize) {
-        match self.pass.as_mut() {
-            Some(acc) => acc.absorb(pass),
-            None => self.pass = Some(pass),
-        }
-        self.decided += frames;
-    }
-
-    /// Re-decide compacted frames from their retained ASN slots. The
-    /// per-ASN latency buckets (`by_asn`) are cumulative and in record
-    /// order, and the compacted slots are exactly the first
-    /// `slots.len()` frames of the stream — so walking the slots with a
-    /// per-ASN cursor replays the exact `(asn, latency)` sequence those
-    /// frames carried, and `decide_into` rebuilds byte-identical pass
-    /// state. Must run right after [`AcceptState::reset`], before any
-    /// resident frames are absorbed.
-    pub(crate) fn replay_compacted(&mut self, slots: &[u32], by_asn: &BTreeMap<Asn, Vec<f64>>) {
-        let (Some(table), Some(pass)) = (self.table.as_ref(), self.pass.as_mut()) else {
+    /// Decide the records of `stats` past the `decided` high-water mark
+    /// under the stored table, in record order. `stats` must hold every
+    /// record the earlier replays since the last [`AcceptState::reset`]
+    /// decided, as a prefix: statistics only ever grow by appending
+    /// ([`CorpusStats::merge`] and the folds do), so the cursors stay
+    /// valid. Does nothing before the first reset.
+    pub(crate) fn replay(&mut self, stats: &CorpusStats) {
+        let Some(table) = self.table.as_ref() else {
             return;
         };
-        debug_assert_eq!(self.decided, 0, "compacted frames replay first");
-        let mut cursors: BTreeMap<Asn, usize> = BTreeMap::new();
-        for &raw in slots {
-            let asn = Asn(raw);
-            let cursor = cursors.entry(asn).or_insert(0);
-            // The bucket always covers the cursor by the compaction
-            // invariant; NAN (which every rule rejects) keeps the walk
-            // total if it ever does not.
-            let lat = by_asn
-                .get(&asn)
-                .and_then(|lats| lats.get(*cursor))
-                .copied()
-                .unwrap_or(f64::NAN);
-            debug_assert!(lat.is_finite(), "compacted slot past its ASN bucket");
-            *cursor += 1;
-            pass.decide_into(table, asn, lat);
+        let mut lanes: Vec<Lane<'_>> = table
+            .asns
+            .iter()
+            .zip(&table.rules)
+            .enumerate()
+            .map(|(slot, (asn, &rule))| Lane {
+                rule,
+                bucket: stats.by_asn.get(asn).map_or(&[], Vec::as_slice),
+                cursor: self.cursors.get(slot).copied().unwrap_or(0),
+                accepted: 0,
+            })
+            .collect();
+        let AcceptPass {
+            counts,
+            bitmap,
+            dense,
+            latencies,
+        } = &mut self.pass;
+        let slots = stats.slots.get(self.decided..).unwrap_or_default();
+        if let Some(dense) = dense.as_mut() {
+            dense.reserve(slots.len());
         }
-        self.decided = slots.len();
+        if let Some(by_op) = latencies.as_mut() {
+            // Size each operator's samples for its buckets' undecided
+            // tails, an upper bound on what it accepts: regrowing a large
+            // vector next to the resident statistics would briefly hold
+            // both copies.
+            let mut tails: BTreeMap<Operator, usize> = BTreeMap::new();
+            for lane in &lanes {
+                if let Some(op) = lane.rule.operator() {
+                    *tails.entry(op).or_default() += lane.bucket.len().saturating_sub(lane.cursor);
+                }
+            }
+            for (op, tail) in tails {
+                by_op.entry(op).or_default().reserve(tail);
+            }
+        }
+        for &slot in slots {
+            // Unmapped records have no lane and are rejected without a
+            // latency.
+            let decision = lanes.get_mut(usize::from(slot)).and_then(|lane| {
+                // The bucket covers the cursor while the slot column and
+                // the buckets grow together; NaN keeps the walk total.
+                let lat = lane.bucket.get(lane.cursor).copied().unwrap_or(f64::NAN);
+                lane.cursor += 1;
+                let decision = lane.rule.decide(lat);
+                if let Some(op) = decision {
+                    lane.accepted += 1;
+                    if let Some(by_op) = latencies.as_mut() {
+                        by_op.entry(op).or_default().push(lat);
+                    }
+                }
+                decision
+            });
+            bitmap.push(decision.is_some());
+            if let Some(dense) = dense.as_mut() {
+                dense.push(decision);
+            }
+        }
+        if let Some(by_op) = latencies.as_mut() {
+            // Operators that accepted nothing keep no entry.
+            by_op.retain(|_, lats| !lats.is_empty());
+        }
+        for lane in lanes.iter().filter(|lane| lane.accepted > 0) {
+            if let Some(op) = lane.rule.operator() {
+                *counts.entry(op).or_default() += lane.accepted;
+            }
+        }
+        self.cursors = lanes.iter().map(|lane| lane.cursor).collect();
+        self.decided += slots.len();
     }
 
-    /// Merge a shard's state after this one (stream order: `self`'s
-    /// frames precede `other`'s). Both shards must have been decided
-    /// under the same table and pass shape, and both must be fully
-    /// caught up with their streams — then concatenating the passes is
-    /// exactly the serial pass over the concatenated stream. Returns
-    /// `false` (and invalidates) when the tables differ, so the next
-    /// snapshot re-derives from the merged statistics.
-    pub(crate) fn merge(&mut self, other: AcceptState) -> bool {
-        let same_table = match (&self.table, &other.table) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        };
-        if !same_table
-            || self.opts.dense_acceptance != other.opts.dense_acceptance
-            || self.opts.operator_latencies != other.opts.operator_latencies
-        {
-            self.invalidate();
-            return false;
-        }
-        if let (Some(acc), Some(part)) = (self.pass.as_mut(), other.pass) {
-            acc.absorb(part);
-        }
-        self.decided += other.decided;
-        self.epoch = self.epoch.max(other.epoch);
-        true
+    /// The accumulated pass outputs.
+    pub(crate) fn pass(&self) -> &AcceptPass {
+        &self.pass
     }
 
-    /// The accumulated pass outputs (None until the first snapshot).
-    pub(crate) fn pass(&self) -> Option<&AcceptPass> {
-        self.pass.as_ref()
+    /// The accumulated pass outputs, by value.
+    pub(crate) fn into_pass(self) -> AcceptPass {
+        self.pass
     }
 }
 
@@ -381,22 +443,49 @@ mod tests {
                 let op = mapping.operator_of(asn).expect("curated");
                 let expect =
                     (!sno_registry::sources::access_of(op).includes(OrbitClass::Leo)).then_some(op);
-                assert_eq!(index.prefix_op(asn), expect, "{asn:?}");
+                assert_eq!(index.prefix_op(index.slot(asn)), expect, "{asn:?}");
             }
         }
-        assert_eq!(index.prefix_op(Asn(398101)), None);
+        assert_eq!(index.prefix_op(index.slot(Asn(398101))), None);
+        assert_eq!(index.prefix_op(UNMAPPED), None);
+    }
+
+    #[test]
+    fn table_rules_follow_the_slot_order() {
+        let mapping = map_asns();
+        let index = AsnOps::new(&mapping);
+        // The curated mapping's 67 ASNs take distinct slots below the
+        // unmapped marker.
+        assert_eq!(mapping.asn_count(), 67);
+        assert_eq!(index.asns.len(), 67);
+        assert!(index.asns.len() < usize::from(UNMAPPED));
+        // No outlier verdicts: every rule names its ASN's operator, so
+        // rule i belongs to the ASN on slot i.
+        let table = AcceptTable::build(&mapping, &BTreeMap::new(), &BTreeMap::new(), 527.0);
+        assert_eq!(table.asns, index.asns);
+        assert_eq!(table.rules.len(), index.asns.len());
+        for (i, (&asn, rule)) in index.asns.iter().zip(&table.rules).enumerate() {
+            assert_eq!(usize::from(index.slot(asn)), i, "{asn:?}");
+            assert_eq!(rule.operator(), index.get(asn), "{asn:?}");
+        }
+        assert_eq!(index.slot(Asn(398101)), UNMAPPED);
     }
 
     #[test]
     fn table_decisions_match_row_accept_on_a_real_corpus() {
         use crate::pipeline::Pipeline;
-        let corpus = sno_synth::MlabGenerator::new(sno_synth::SynthConfig {
+        let mut records = sno_synth::MlabGenerator::new(sno_synth::SynthConfig {
             scale: 5e-5,
             min_sessions: 40,
             ..sno_synth::SynthConfig::test_corpus()
         })
-        .generate();
-        let report = Pipeline::new().run(&corpus.records);
+        .generate()
+        .records;
+        // A few unmapped records exercise the replay's unmapped slot.
+        for rec in records.iter_mut().step_by(97) {
+            rec.asn = Asn(398101);
+        }
+        let report = Pipeline::new().run(&records);
         let verdict_of: BTreeMap<Asn, AsnVerdict> = report
             .profiles
             .iter()
@@ -409,7 +498,8 @@ mod tests {
             report.default_threshold,
         );
         let dense = report.accepted.as_deref().expect("run keeps it");
-        for (rec, want) in corpus.records.iter().zip(dense) {
+        assert_eq!(dense.len(), records.len());
+        for (rec, want) in records.iter().zip(dense) {
             let got = table.decide(rec.asn, rec.latency_p5.0);
             assert_eq!(got, *want, "{rec:?}");
             // And both agree with the row-at-a-time reference.

@@ -17,11 +17,12 @@
 //!    relaxed filter derived from it (per-operator minimum latency,
 //!    527 ms default);
 //! 4. [`stream`] — [`Pipeline::run_streamed`], the one function that
-//!    runs the identification: two passes over a chunked record
-//!    stream in bounded memory (per-chunk columnar accumulators over
-//!    struct-of-arrays [`sno_types::RecordBatch`]es, then an accept
-//!    pass through the per-ASN decision tables of [`accept`]), producing
-//!    the SNO catalog (Table 1), a compact acceptance bitmap and the one
+//!    runs the identification: one pass over a chunked record stream in
+//!    bounded memory (per-chunk columnar accumulators over
+//!    struct-of-arrays [`sno_types::RecordBatch`]es, which also keep
+//!    each record's ASN slot), then an accept replay of that slot column
+//!    through the per-ASN decision tables of [`accept`], producing the
+//!    SNO catalog (Table 1), a compact acceptance bitmap and the one
 //!    report type, [`StreamedReport`];
 //! 5. [`pipeline`] — the configured [`Pipeline`], the stage 3–3c
 //!    derivation (plus its incremental cache), and [`Pipeline::run`]:
@@ -49,7 +50,7 @@ pub use accept::{AcceptTable, AsnOps};
 pub use accuracy::{attribution_accuracy, score, Confusion};
 pub use analysis::{jitter_by_orbit, latency_by_operator, retransmissions, stability, OrbitGroup};
 pub use asn_map::{map_asns, AsnMapping};
-pub use online::{OnlineIdentifier, PopFlag};
+pub use online::{MergeError, OnlineIdentifier, PopFlag};
 pub use pipeline::Pipeline;
 pub use prefix_filter::{relaxed_thresholds, strict_filter, StrictOutcome};
 pub use stream::{AcceptBitmap, CorpusStats, StreamOptions, StreamedReport};

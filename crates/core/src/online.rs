@@ -10,65 +10,64 @@
 //! * **Ingest** — each arriving chunk is columnarized and folded into the
 //!   same [`CorpusStats`] accumulator the streamed pipeline uses (per-ASN
 //!   latency buckets for KDE validation, per-`(operator, /24)` buckets
-//!   for the strict filter), appended to a compact codec replay log
-//!   (~52 bytes/record), and tracked in per-operator latency sketches and
-//!   `(timestamp, latency)` buckets for the PoP-change flags. Every
-//!   ingest step is O(chunk), never O(corpus).
+//!   for the strict filter, one 2-byte ASN slot per record for the
+//!   accept replay), and tracked in per-operator latency sketches and
+//!   `(timestamp, latency)` buckets for the PoP-change flags. A NaN
+//!   latency stays in the statistics, which decide it as the batch
+//!   pipeline does, but out of the sketches and the PoP-flag series.
+//!   Every ingest step is O(chunk), never O(corpus).
 //! * **Merge** — identifiers built over disjoint shards of a stream merge
 //!   in shard order into the exact state serial ingest would have built:
-//!   `CorpusStats::merge` appends buckets, the replay logs concatenate
-//!   byte-wise, and the [`QuantileSketch`]es are ingest-order-invariant
-//!   by construction. This is what lets `sno_types::par` shard the ingest
-//!   across threads without changing a single output byte. The absorbed
-//!   shard must be *raw* — never compacted or evicted — because its
-//!   frames land in the middle of the merged stream, where dropped bytes
-//!   could no longer be re-decided on an epoch bump (merge-then-compact
-//!   is sound; compact-then-merge is not — see DESIGN §7).
+//!   `CorpusStats::merge` appends buckets and slot columns, windowed
+//!   replay logs concatenate byte-wise, and the [`QuantileSketch`]es are
+//!   ingest-order-invariant by construction. This is what lets
+//!   `sno_types::par` shard the ingest across threads without changing a
+//!   single output byte. The contract: both identifiers keep the same
+//!   window, or [`OnlineIdentifier::merge`] returns a [`MergeError`] and
+//!   changes nothing. Either side may already have snapshotted. The
+//!   absorbed shard's decisions are dropped and its records decided by
+//!   the next snapshot; `self`'s decided records stay a prefix of the
+//!   merged stream, and its per-ASN cursors a prefix of each merged
+//!   bucket.
 //! * **Snapshot** — [`OnlineIdentifier::snapshot`] re-derives stages
 //!   3–3c through a memoizing [`StageCache`] (only buckets that grew
 //!   since the last snapshot are re-evaluated) and compares the
 //!   resulting [`AcceptTable`](crate::accept::AcceptTable) with the one
 //!   the persistent [`AcceptState`] was decided under. *Unchanged* →
-//!   only the frames appended since the last snapshot replay through
-//!   the accept pass (O(delta)). *Shifted* → the *epoch* bumps and the
-//!   whole stream is re-decided: compacted frames from their retained
-//!   ASN slots plus the cumulative per-ASN latency buckets, resident
-//!   frames from the log (the bounded re-replay).
-//!   Either way the report is assembled by the same function
-//!   [`Pipeline::run_streamed`] uses and is byte-identical to it over
-//!   the same records — online verdicts *are* batch verdicts, pinned by
-//!   `tests/online_determinism.rs` across interleaved
-//!   ingest/snapshot/merge/compact schedules.
-//! * **Compaction** — [`OnlineIdentifier::compact`] drops the decided
-//!   prefix of the replay log, retaining only each dropped frame's ASN
-//!   (4 bytes instead of 52). An accept decision is a function of
-//!   `(asn, latency_p5)` alone, and the cumulative per-ASN buckets
-//!   already hold every latency in record order — so an epoch bump can
-//!   replay compacted frames exactly, via per-ASN cursors into the
-//!   buckets. Resident log size stays bounded by the frames ingested
-//!   since the last `compact()`.
+//!   only the records ingested since the last snapshot replay from the
+//!   slot column (O(delta)). *Shifted* → the *epoch* bumps and the whole
+//!   slot column replays. Either way the records are decided by the
+//!   replay [`Pipeline::run_streamed`] runs, and the report is assembled
+//!   by the same function, so it is byte-identical to `run_streamed`
+//!   over the same records — online verdicts *are* batch verdicts,
+//!   pinned by `tests/online_determinism.rs` across interleaved
+//!   ingest/snapshot/merge schedules.
 //!
-//! With a sliding window ([`OnlineIdentifier::with_window`]), snapshots
-//! first *evict* the leading run of frames older than `window_secs`
-//! behind the newest timestamp seen — sound because the cutoff only
-//! moves forward, so an expired frame can never re-enter a later
-//! window — then run [`Pipeline::run_streamed`] over the retained
-//! in-window records. The unwindowed default keeps the whole stream
-//! (resident or compacted) and therefore matches the batch report
-//! exactly.
+//! An unwindowed identifier keeps no replay log, only the slot column
+//! next to the latency buckets it needs anyway, so
+//! [`OnlineIdentifier::compact`] has nothing to do.
+//!
+//! With a sliding window ([`OnlineIdentifier::with_window`]), ingest
+//! appends each chunk to a compact codec replay log (~52 bytes/record)
+//! instead of the statistics, and snapshots first *evict* the leading
+//! run of frames older than `window_secs` behind the newest timestamp
+//! seen — sound because the cutoff only moves forward, so an expired
+//! frame can never re-enter a later window — then run
+//! [`Pipeline::run_streamed`] over the retained in-window records. The
+//! unwindowed default keeps the whole stream and therefore matches the
+//! batch report exactly.
 
-use crate::accept::{AcceptState, AsnOps};
+use crate::accept::{AcceptState, AsnOps, Slot};
 use crate::asn_map::{map_asns, AsnMapping};
 use crate::pipeline::{Pipeline, StageCache};
-use crate::stream::{
-    accept_pass, AcceptPass, CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN,
-};
+use crate::stream::{CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN};
 use crate::validate::{profile_from_sketch, AsnProfile};
 use sno_stats::{daily_medians, OnlineShiftDetector, QuantileSketch, Shift};
 use sno_types::chunk::{slice_chunks, RecordChunks};
 use sno_types::records::NdtRecord;
 use sno_types::{codec, Asn, Operator, RecordBatch, Timestamp, UtcDay};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// An incrementally flagged PoP-style level shift in one operator's
 /// daily-median latency series.
@@ -82,6 +81,34 @@ pub struct PopFlag {
     pub shift: Shift,
 }
 
+/// Why [`OnlineIdentifier::merge`] refused a shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeError {
+    /// The identifiers keep different windows (`None` = unwindowed). An
+    /// unwindowed identifier decides from cumulative statistics and a
+    /// windowed one from its retained log, so no merged state would
+    /// equal serial ingest.
+    WindowMismatch {
+        /// The window of the identifier merged into.
+        ours: Option<u64>,
+        /// The window of the absorbed shard.
+        theirs: Option<u64>,
+    },
+}
+
+impl fmt::Display for MergeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MergeError::WindowMismatch { ours, theirs } => write!(
+                f,
+                "cannot merge an identifier with window {theirs:?} into one with window {ours:?}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MergeError {}
+
 /// Incremental SNO identification over an arriving measurement stream.
 /// See the module docs for the state layout and merge contract.
 #[derive(Debug, Clone)]
@@ -89,20 +116,16 @@ pub struct OnlineIdentifier {
     pipeline: Pipeline,
     mapping: AsnMapping,
     index: AsnOps,
+    /// Cumulative statistics, slot column included (unwindowed only).
     stats: CorpusStats,
     /// Bumped on every statistics mutation — the stage cache's
     /// whole-derivation key.
     stats_rev: u64,
+    /// Replay log of the records not evicted yet (windowed only).
     log: codec::Encoder,
-    /// Records ingested over the identifier's lifetime (the log shrinks
-    /// under compaction and eviction, so this is tracked explicitly).
+    /// Records ingested over the identifier's lifetime (evicted records
+    /// included).
     ingested: usize,
-    /// ASNs of compacted frames, in stream order (unwindowed only): all
-    /// an epoch-bump replay needs, since the cumulative per-ASN buckets
-    /// hold the latencies.
-    compacted_slots: Vec<u32>,
-    /// Frames dropped by windowed eviction (windowed only).
-    evicted: usize,
     window_secs: Option<u64>,
     latest: Option<Timestamp>,
     by_operator: BTreeMap<Operator, Vec<(Timestamp, f64)>>,
@@ -128,8 +151,6 @@ impl OnlineIdentifier {
             stats_rev: 0,
             log: codec::Encoder::new(),
             ingested: 0,
-            compacted_slots: Vec::new(),
-            evicted: 0,
             window_secs: None,
             latest: None,
             by_operator: BTreeMap::new(),
@@ -163,16 +184,18 @@ impl OnlineIdentifier {
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn ingest(&mut self, records: &[NdtRecord]) {
         let batch = RecordBatch::from_records(records);
-        // A windowed identifier never reads the cumulative statistics
-        // (every snapshot re-derives from the retained log), so it
-        // skips accumulating them — the buckets would otherwise grow
-        // with the whole stream, defeating the window's memory bound.
+        // An unwindowed identifier decides from the cumulative
+        // statistics. A windowed one re-derives every snapshot from its
+        // retained log instead and skips the statistics, which would
+        // otherwise grow with the whole stream and defeat the window's
+        // memory bound.
         if self.window_secs.is_none() {
             self.stats
                 .observe_batch(&self.index, &batch, 0..batch.len());
             self.stats_rev += 1;
+        } else {
+            self.log.extend_records(records);
         }
-        self.log.extend_records(records);
         self.ingested += records.len();
         // Newest timestamp, per-operator PoP-flag samples and latency
         // sketches.
@@ -181,6 +204,11 @@ impl OnlineIdentifier {
         for ((&ts, &asn), &lat) in timestamps.iter().zip(batch.asns()).zip(latencies) {
             if self.latest.is_none_or(|t| ts > t) {
                 self.latest = Some(ts);
+            }
+            // Sketches and daily medians order their samples, which a
+            // NaN has no place in.
+            if lat.is_nan() {
+                continue;
             }
             if let Some(op) = self.index.get(asn) {
                 self.by_operator.entry(op).or_default().push((ts, lat));
@@ -197,23 +225,21 @@ impl OnlineIdentifier {
     /// order reproduces serial ingest exactly — state and snapshots are
     /// byte-identical.
     ///
-    /// The absorbed shard must be raw: never compacted, never evicted.
-    /// Its frames land in the middle of the merged stream, where an
-    /// epoch bump must still be able to re-decide them from the log —
-    /// so compact (and evict) only the accumulating side, *after* the
-    /// merge. `self` may already be compacted: its decided prefix stays
-    /// a prefix of the merged stream, so its accept state stays valid.
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn merge(&mut self, other: OnlineIdentifier) {
-        debug_assert_eq!(
-            self.window_secs, other.window_secs,
-            "merged identifiers must share a window"
-        );
-        debug_assert!(
-            other.compacted_slots.is_empty() && other.evicted == 0,
-            "merge absorbs raw shards; compact/evict only the accumulating side"
-        );
-        let caught_up = self.accept.decided() == self.ingested;
+    /// Either identifier may have snapshotted before: `other`'s
+    /// decisions are dropped and the next snapshot decides its records,
+    /// while `self`'s decided records stay a prefix of the merged
+    /// stream.
+    ///
+    /// # Errors
+    /// [`MergeError::WindowMismatch`] when the two identifiers keep
+    /// different windows; `self` is left untouched.
+    pub fn merge(&mut self, other: OnlineIdentifier) -> Result<(), MergeError> {
+        if self.window_secs != other.window_secs {
+            return Err(MergeError::WindowMismatch {
+                ours: self.window_secs,
+                theirs: other.window_secs,
+            });
+        }
         self.stats = std::mem::take(&mut self.stats).merge(other.stats);
         self.stats_rev += 1;
         self.log.append(&other.log);
@@ -234,37 +260,26 @@ impl OnlineIdentifier {
                 mine.entry(asn).or_default().merge(&sketch);
             }
         }
-        if other.accept.decided() > 0 {
-            // Both sides have decided frames. Concatenating the accept
-            // passes equals the serial pass only when self was fully
-            // caught up (no undecided gap between the two decided runs)
-            // and both decided under the same table — otherwise the
-            // next snapshot re-decides from scratch.
-            if !caught_up {
-                self.accept.invalidate();
-            } else {
-                let _ = self.accept.merge(other.accept);
-            }
-        }
-        // other.accept.decided() == 0: the shard contributes fresh
-        // frames only; self's decided prefix is still a stream prefix.
+        Ok(())
     }
 
-    /// Records ingested over the identifier's lifetime (compacted and
-    /// evicted frames included).
+    /// Records ingested over the identifier's lifetime (evicted records
+    /// included).
     pub fn ingested(&self) -> usize {
         self.ingested
     }
 
-    /// Frames currently resident in the replay log.
+    /// Frames currently resident in the windowed replay log (always 0
+    /// for an unwindowed identifier, which keeps no log).
     pub fn resident_frames(&self) -> usize {
         self.log.len()
     }
 
-    /// Bytes held by the replay log plus the compacted-slot store — the
-    /// gauge the compaction bound is asserted on.
+    /// Bytes held per record besides the latency buckets: the windowed
+    /// replay log (~52 bytes per retained record) plus the unwindowed
+    /// slot column (2 bytes per ingested record).
     pub fn resident_log_bytes(&self) -> usize {
-        self.log.byte_len() + self.compacted_slots.len() * std::mem::size_of::<u32>()
+        self.log.byte_len() + self.stats.slots.len() * std::mem::size_of::<Slot>()
     }
 
     /// How many times the accept table shifted under a snapshot,
@@ -337,74 +352,23 @@ impl OnlineIdentifier {
         if !self.accept.compatible(&stages.table, opts) {
             // Epoch bump: the table shifted (or this is the first
             // snapshot / the pass shape changed) — re-decide the whole
-            // stream. Compacted frames replay from their ASN slots,
-            // resident frames from the log.
+            // stream.
             self.accept.reset(stages.table.clone(), opts);
-            self.accept
-                .replay_compacted(&self.compacted_slots, &self.stats.by_asn);
-            let pass = accept_pass(
-                &stages.table,
-                self.log.chunks(REPLAY_CHUNK_LEN),
-                opts,
-                self.pipeline.threads,
-            );
-            let frames = pass.bitmap.len();
-            self.accept.absorb(pass, frames);
-        } else if self.accept.decided() < self.ingested {
-            // O(delta): only the frames appended since the last
-            // snapshot. `decided` indexes the whole stream; the log
-            // starts at frame `compacted_slots.len()`.
-            let from = self.accept.decided() - self.compacted_slots.len();
-            let pass = accept_pass(
-                &stages.table,
-                self.log.tail_chunks(from, REPLAY_CHUNK_LEN),
-                opts,
-                self.pipeline.threads,
-            );
-            let frames = pass.bitmap.len();
-            self.accept.absorb(pass, frames);
         }
+        // O(delta) unless the epoch just bumped: the records ingested
+        // since the last snapshot replay from the slot column.
+        self.accept.replay(&self.stats);
         debug_assert_eq!(self.accept.decided(), self.ingested);
-
-        let pass = self
-            .accept
-            .pass()
-            .cloned()
-            .unwrap_or_else(|| AcceptPass::empty(opts));
+        let pass = self.accept.pass().clone();
         StreamedReport::assemble(self.mapping.clone(), stages, self.ingested, pass)
     }
 
-    /// Fold the decided prefix of the replay log into the persistent
-    /// accept state and drop its frames, keeping only their ASN slots.
-    /// Bounds the resident log to the frames ingested since the last
-    /// snapshot-then-compact, at 4 bytes per compacted frame. No-op for
-    /// windowed identifiers (they evict instead) and before the first
-    /// snapshot (nothing is decided yet).
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
-    pub fn compact(&mut self) {
-        if self.window_secs.is_some() {
-            return;
-        }
-        let decided_resident = self
-            .accept
-            .decided()
-            .saturating_sub(self.compacted_slots.len());
-        if decided_resident == 0 {
-            return;
-        }
-        let mut remaining = decided_resident;
-        let mut chunks = self.log.chunks(REPLAY_CHUNK_LEN);
-        while remaining > 0 {
-            let Some(chunk) = chunks.next_chunk() else {
-                break;
-            };
-            for rec in chunk.iter().take(remaining) {
-                self.compacted_slots.push(rec.asn.0);
-            }
-            remaining = remaining.saturating_sub(chunk.len());
-        }
-        self.log.drop_front(decided_resident);
-    }
+    /// Does nothing. An unwindowed identifier keeps no replay log to
+    /// compact (snapshots replay its slot column instead), and a
+    /// windowed one evicts expired frames at snapshot time. The method
+    /// stays so that existing callers, the repository benchmark among
+    /// them, keep compiling.
+    pub fn compact(&mut self) {}
 
     /// The oldest timestamp a windowed snapshot keeps, if a window is
     /// configured and anything has been ingested.
@@ -446,10 +410,7 @@ impl OnlineIdentifier {
                 expired += 1;
             }
         }
-        if expired > 0 {
-            self.log.drop_front(expired);
-            self.evicted += expired;
-        }
+        self.log.drop_front(expired);
     }
 
     /// Incrementally flagged PoP-style level shifts: per operator, the
@@ -551,38 +512,27 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_snapshots_and_bounds_the_log() {
+    fn snapshots_replay_the_slot_column_without_a_log() {
         let records = corpus();
         let opts = StreamOptions::default();
         let expect = Pipeline::new().run_streamed(|| slice_chunks(&records, 512), opts);
 
         let mut online = OnlineIdentifier::new(Pipeline::new());
+        let empty_log = online.resident_log_bytes();
         let step = records.len() / 4 + 1;
         for chunk in records.chunks(step) {
             online.ingest(chunk);
             online.snapshot(opts);
+            let before = online.resident_log_bytes();
             online.compact();
-            // Everything decided is compacted away: the resident log
-            // holds only the not-yet-snapshotted suffix (here: nothing).
+            assert_eq!(online.resident_log_bytes(), before, "compact is a no-op");
+            // No replay log: two bytes of slot per ingested record.
             assert_eq!(online.resident_frames(), 0);
+            assert_eq!(before, empty_log + 2 * online.ingested());
         }
-        // Compacted slots cost 4 bytes/frame vs 52 resident.
-        assert!(online.resident_log_bytes() < records.len() * 52 / 10);
         let report = online.snapshot(opts);
         assert_reports_equal(&report, &expect);
         assert_eq!(report.records, records.len());
-    }
-
-    #[test]
-    fn compact_before_any_snapshot_is_a_noop() {
-        let records = corpus();
-        let mut online = OnlineIdentifier::new(Pipeline::new());
-        online.ingest(&records);
-        online.compact();
-        assert_eq!(online.resident_frames(), records.len());
-        let expect =
-            Pipeline::new().run_streamed(|| slice_chunks(&records, 512), StreamOptions::default());
-        assert_reports_equal(&online.snapshot(StreamOptions::default()), &expect);
     }
 
     #[test]
@@ -599,7 +549,7 @@ mod tests {
         });
         let mut merged = OnlineIdentifier::new(Pipeline::new());
         for shard in shards {
-            merged.merge(shard);
+            merged.merge(shard).expect("same window");
         }
         assert_eq!(merged.ingested(), serial.ingested());
         assert_eq!(merged.latency_sketches(), serial.latency_sketches());
@@ -611,22 +561,103 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_snapshotted_and_compacted_identifier() {
+    fn merge_snapshotted_identifiers() {
         let records = corpus();
         let opts = StreamOptions::default();
+        let expect = Pipeline::new().run_streamed(|| slice_chunks(&records, 512), opts);
         let (head, tail) = records.split_at(records.len() / 2);
-        // Accumulating side: snapshot + compact before the merge.
+        // Both sides snapshot (and compact) before the merge; the
+        // absorbed shard's decisions are dropped and re-made.
         let mut acc = OnlineIdentifier::new(Pipeline::new());
         acc.ingest(head);
         acc.snapshot(opts);
         acc.compact();
-        // Raw shard arrives and merges in.
         let mut shard = OnlineIdentifier::new(Pipeline::new());
         shard.ingest(tail);
-        acc.merge(shard);
+        shard.snapshot(opts);
+        shard.compact();
+        acc.merge(shard).expect("same window");
         assert_eq!(acc.ingested(), records.len());
-        let expect = Pipeline::new().run_streamed(|| slice_chunks(&records, 512), opts);
         assert_reports_equal(&acc.snapshot(opts), &expect);
+    }
+
+    #[test]
+    fn merge_refuses_a_window_mismatch_in_both_directions() {
+        let records = corpus();
+        let (head, tail) = records.split_at(records.len() / 2);
+        let build = |window: Option<u64>, part: &[NdtRecord]| {
+            let mut id = match window {
+                Some(w) => OnlineIdentifier::with_window(Pipeline::new(), w),
+                None => OnlineIdentifier::new(Pipeline::new()),
+            };
+            id.ingest(part);
+            id
+        };
+        for (ours, theirs) in [(None, Some(3_600)), (Some(3_600), None)] {
+            let mut acc = build(ours, head);
+            let before = format!("{acc:?}");
+            let err = acc.merge(build(theirs, tail)).expect_err("windows differ");
+            assert_eq!(err, MergeError::WindowMismatch { ours, theirs });
+            assert!(err.to_string().contains("window"), "{err}");
+            assert_eq!(format!("{acc:?}"), before, "{ours:?} <- {theirs:?}");
+        }
+        // Equal windows still merge.
+        let mut acc = build(Some(3_600), head);
+        acc.merge(build(Some(3_600), tail)).expect("same window");
+        assert_eq!(acc.ingested(), records.len());
+    }
+
+    #[test]
+    fn windowed_shards_merge_after_eviction() {
+        // Both shards snapshot, and so evict, before the merge. Every
+        // evicted frame is older than each later cutoff of the merged
+        // identifier, so its window equals serial ingest's.
+        let mut records = corpus();
+        records.sort_by_key(|r| r.timestamp.0);
+        let span = records.last().unwrap().timestamp.0 - records[0].timestamp.0;
+        let window = span / 3;
+        let opts = StreamOptions::default();
+        let (head, tail) = records.split_at(records.len() / 2);
+        let mut acc = OnlineIdentifier::with_window(Pipeline::new(), window);
+        acc.ingest(head);
+        acc.snapshot(opts);
+        let mut shard = OnlineIdentifier::with_window(Pipeline::new(), window);
+        shard.ingest(tail);
+        shard.snapshot(opts);
+        assert!(acc.resident_frames() < head.len());
+        assert!(shard.resident_frames() < tail.len());
+        acc.merge(shard).expect("same window");
+        let mut serial = OnlineIdentifier::with_window(Pipeline::new(), window);
+        serial.ingest(&records);
+        assert_reports_equal(&acc.snapshot(opts), &serial.snapshot(opts));
+    }
+
+    #[test]
+    fn nan_latency_stays_out_of_sketches_and_pop_series() {
+        let mut records = corpus();
+        let i = records
+            .iter()
+            .position(|r| r.asn == Asn(14593))
+            .expect("a Starlink record");
+        records[i].latency_p5 = Millis(f64::NAN);
+        let mut online = OnlineIdentifier::new(Pipeline::new());
+        online.ingest(&records);
+        let opts = StreamOptions::default();
+        let report = online.snapshot(opts);
+        // The statistics keep the record: the snapshot still equals the
+        // batch run, which accepts it (a LEO rule takes any latency).
+        let expect = Pipeline::new().run_streamed(|| slice_chunks(&records, 512), opts);
+        assert_reports_equal(&report, &expect);
+        assert!(report.bitmap.get(i));
+        let mapping = map_asns();
+        let finite = records
+            .iter()
+            .filter(|r| mapping.operator_of(r.asn) == Some(Operator::Starlink))
+            .filter(|r| !r.latency_p5.0.is_nan())
+            .count();
+        let starlink = &online.latency_sketches()[&Operator::Starlink];
+        assert_eq!(starlink.count(), finite as u64);
+        let _ = online.pop_flags(8.0, 8);
     }
 
     #[test]

@@ -2,31 +2,37 @@
 //! corpora, and the one function that runs the identification.
 //!
 //! [`Pipeline::run_streamed`] produces the [`StreamedReport`] from a
-//! re-streamable chunked source in two passes; every other entry point
-//! is a source choice on top of it ([`Pipeline::run`] streams an
-//! in-memory slice, a windowed online snapshot streams its in-window
-//! records, a caller holding an encoded corpus streams its
-//! [`sno_types::codec`] frames):
+//! chunked source in one pass over the source plus a replay of the
+//! state that pass kept; every other entry point is a source choice on
+//! top of it ([`Pipeline::run`] streams an in-memory slice, a windowed
+//! online snapshot streams its in-window records, a caller holding an
+//! encoded corpus streams its [`sno_types::codec`] frames):
 //!
 //! 1. **Statistics pass** — every chunk is columnarized into a
 //!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
 //!    (per-ASN latency samples for the KDE stage, per-`(operator, /24)`
-//!    samples for the strict filter). Accumulators merge in chunk
-//!    order, so every bucket holds its samples in record order —
-//!    byte-identical to a serial row-at-a-time fold.
-//! 2. **Accept pass** — the records are streamed again and each is
-//!    decided through the per-ASN [`AcceptTable`](crate::accept)
-//!    derived from pass 1, emitting per-operator counts plus a compact
-//!    [`AcceptBitmap`] (one bit per record), and the dense per-record
-//!    vector only when [`StreamOptions`] asks for it.
+//!    samples for the strict filter, and each record's ASN [`Slot`]).
+//!    Accumulators merge in chunk order, so every bucket and the slot
+//!    column hold their entries in record order — byte-identical to a
+//!    serial row-at-a-time fold.
+//! 2. **Accept replay** — an accept decision reads a record's ASN and
+//!    p5 latency only, and pass 1 kept both in record order. So the
+//!    records are not streamed again: [`AcceptState`] walks the slot
+//!    column with one cursor per slot into the per-ASN buckets and
+//!    decides each record through the
+//!    [`AcceptTable`](crate::accept::AcceptTable) derived from pass 1,
+//!    emitting per-operator counts plus a compact [`AcceptBitmap`] (one
+//!    bit per record), and the dense per-record vector only when
+//!    [`StreamOptions`] asks for it.
 //!
-//! Peak memory is the per-bucket statistics (latency samples, not
-//! records) plus one generation wave — the corpus itself is never
-//! resident unless the source holds it. Chunk-length and thread-count
-//! independence is pinned by `tests/stream_determinism.rs` at chunk
-//! sizes {1, 1024, whole} × threads {1, 2, 8}.
+//! Peak memory is the per-bucket statistics (latency samples and a
+//! 2-byte slot per record, not records) plus one generation wave — the
+//! corpus itself is never resident unless the source holds it. The
+//! statistics stay resident until the replay ends. Chunk-length and
+//! thread-count independence is pinned by `tests/stream_determinism.rs`
+//! at chunk sizes {1, 1024, whole} × threads {1, 2, 8}.
 
-use crate::accept::{AcceptTable, AsnOps};
+use crate::accept::{AcceptState, AsnOps, Slot, UNMAPPED};
 use crate::asn_map::{map_asns, AsnMapping};
 use crate::pipeline::{DerivedStages, Pipeline};
 use crate::prefix_filter::StrictOutcome;
@@ -34,11 +40,11 @@ use crate::validate::AsnProfile;
 use sno_types::chunk::{self, RecordChunks};
 use sno_types::records::NdtRecord;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, RecordBatch};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// Chunk length the in-memory sources stream at: [`Pipeline::run`]'s
-/// record slice and the online identifier's log replay.
+/// record slice and the windowed online snapshot's retained records.
 pub(crate) const REPLAY_CHUNK_LEN: usize = 4096;
 
 /// Per-chunk accumulator for the statistics pass: everything stages
@@ -53,6 +59,9 @@ pub struct CorpusStats {
     /// the source ASN so the strict filter can drop outlier ASNs after
     /// the KDE stage rules (strict-filter input).
     pub by_prefix: BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>>,
+    /// Each record's [`Slot`], in record order (accept-replay input):
+    /// with `by_asn`, everything stage 4 decides a record from.
+    pub slots: Vec<Slot>,
 }
 
 impl CorpusStats {
@@ -62,7 +71,9 @@ impl CorpusStats {
     }
 
     /// Fold one record in: the row-at-a-time reference
-    /// [`CorpusStats::observe_batch`] is checked against.
+    /// [`CorpusStats::observe_batch`] is checked against. The slot is
+    /// derived from the mapping here, not from [`AsnOps`]: the number
+    /// of distinct curated ASNs below the record's.
     pub fn observe(&mut self, mapping: &AsnMapping, rec: &NdtRecord) {
         self.records += 1;
         self.by_asn
@@ -70,8 +81,12 @@ impl CorpusStats {
             .or_default()
             .push(rec.latency_p5.0);
         let Some(op) = mapping.operator_of(rec.asn) else {
+            self.slots.push(UNMAPPED);
             return;
         };
+        let curated: BTreeSet<Asn> = mapping.mapping.values().flatten().copied().collect();
+        let below = curated.range(..rec.asn).count();
+        self.slots.push(Slot::try_from(below).unwrap_or(UNMAPPED));
         let access = sno_registry::sources::access_of(op);
         if access.includes(OrbitClass::Leo) {
             return; // LEO is identified at ASN level
@@ -85,7 +100,7 @@ impl CorpusStats {
     /// Merge `other` (the later shard) into `self`, appending per-key
     /// samples so bucket order equals record order when accumulators
     /// merge in shard order.
-    pub fn merge(mut self, other: CorpusStats) -> CorpusStats {
+    pub fn merge(mut self, mut other: CorpusStats) -> CorpusStats {
         self.records += other.records;
         for (asn, mut latencies) in other.by_asn {
             self.by_asn.entry(asn).or_default().append(&mut latencies);
@@ -93,22 +108,26 @@ impl CorpusStats {
         for (key, mut samples) in other.by_prefix {
             self.by_prefix.entry(key).or_default().append(&mut samples);
         }
+        self.slots.append(&mut other.slots);
         self
     }
 
-    /// Fold a range of batch rows in, column-wise. Buckets come out
-    /// identical to row-at-a-time [`CorpusStats::observe`] calls over
-    /// the same rows; the per-ASN mapping/access lookups go through the
-    /// prebuilt sorted [`AsnOps`] index instead of a linear scan per
-    /// record.
+    /// Fold a range of batch rows in, column-wise. Buckets and slots
+    /// come out identical to row-at-a-time [`CorpusStats::observe`]
+    /// calls over the same rows; each record's ASN is resolved to its
+    /// slot once, through the prebuilt sorted [`AsnOps`] index instead
+    /// of a linear scan per record.
     pub fn observe_batch(&mut self, index: &AsnOps, batch: &RecordBatch, range: Range<usize>) {
         let asns = &batch.asns()[range.clone()];
         let latencies = &batch.latency_p5()[range.clone()];
         let clients = &batch.clients()[range];
         self.records += asns.len();
+        self.slots.reserve(asns.len());
         for ((&asn, &lat), client) in asns.iter().zip(latencies).zip(clients) {
             self.by_asn.entry(asn).or_default().push(lat);
-            if let Some(op) = index.prefix_op(asn) {
+            let slot = index.slot(asn);
+            self.slots.push(slot);
+            if let Some(op) = index.prefix_op(slot) {
                 self.by_prefix
                     .entry((op, client.prefix24()))
                     .or_default()
@@ -118,7 +137,7 @@ impl CorpusStats {
     }
 }
 
-/// What the accept pass should keep beyond the catalog.
+/// What the accept replay should keep beyond the catalog.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamOptions {
     /// Also keep the dense per-record `Vec<Option<Operator>>` (what
@@ -126,12 +145,12 @@ pub struct StreamOptions {
     /// default — the bitmap plus counts serve the catalog paths.
     pub dense_acceptance: bool,
     /// Collect accepted latency samples per operator (the Figure 3c
-    /// input) during the accept pass.
+    /// input) during the accept replay.
     pub operator_latencies: bool,
-    /// Emit a heartbeat line to stderr every this many records per pass
-    /// (`0` = silent). Heartbeats are record-count based — never
-    /// wall-clock — so they cannot perturb determinism; they make a
-    /// multi-minute `--scale 1` run observable.
+    /// Emit a heartbeat line to stderr every this many records of the
+    /// statistics pass (`0` = silent). Heartbeats are record-count
+    /// based — never wall-clock — so they cannot perturb determinism;
+    /// they make a multi-minute `--scale 1` run observable.
     pub progress_every: usize,
 }
 
@@ -179,32 +198,6 @@ impl AcceptBitmap {
     /// Accepted records.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Append `other`'s bits after this bitmap's, preserving order —
-    /// the merge step when per-chunk bitmaps fold in chunk order. The
-    /// result is bit-for-bit what pushing `other`'s bits one at a time
-    /// would build, including at non-word-aligned boundaries.
-    pub fn append(&mut self, other: &AcceptBitmap) {
-        let shift = self.len % 64;
-        if shift == 0 {
-            self.words.extend_from_slice(&other.words);
-            self.len += other.len;
-            return;
-        }
-        for (i, &w) in other.words.iter().enumerate() {
-            // shift != 0 implies a last word exists; `if let` keeps the
-            // merge total instead of aborting on a broken invariant.
-            if let Some(last) = self.words.last_mut() {
-                *last |= w << shift;
-            }
-            // The high `shift` bits overflow into a fresh word — but
-            // only when `other` actually has bits past this boundary.
-            if i * 64 + (64 - shift) < other.len {
-                self.words.push(w >> (64 - shift));
-            }
-        }
-        self.len += other.len;
     }
 }
 
@@ -278,11 +271,11 @@ impl StreamedReport {
 }
 
 impl Pipeline {
-    /// Run all stages over a re-streamable chunked source in bounded
-    /// memory. `source` is called once per pass (statistics, then
-    /// accept) and must yield the same record stream both times —
-    /// chunked generators rebuilt from a seed, slices and encoded
-    /// corpora satisfy this by construction.
+    /// Run all stages over a chunked source in bounded memory.
+    /// `source` is called once: pass 1 folds its chunks into the
+    /// statistics, and the accept decisions replay from what pass 1
+    /// kept (see the module docs), so any chunked stream works —
+    /// chunked generators, slices and encoded corpora alike.
     ///
     /// The report is byte-identical at any chunk length and thread
     /// count.
@@ -290,7 +283,7 @@ impl Pipeline {
     pub fn run_streamed<C, F>(&self, source: F, opts: StreamOptions) -> StreamedReport
     where
         C: RecordChunks<Item = NdtRecord>,
-        F: Fn() -> C,
+        F: FnOnce() -> C,
     {
         // Stages 1–2: registry mapping + curation.
         let mapping = map_asns();
@@ -299,9 +292,10 @@ impl Pipeline {
         // Pass 1: columnarize each chunk and fold it into the
         // statistics accumulator. Chunks are mapped to per-chunk
         // partials on the worker pool and merged in chunk order on this
-        // thread, so every bucket holds its samples in record order —
-        // byte-identical to the serial fold at any thread count.
-        let mut progress = Progress::new(opts.progress_every, "stats pass");
+        // thread, so every bucket and the slot column hold their
+        // entries in record order — byte-identical to the serial fold
+        // at any thread count.
+        let mut progress = Progress::new(opts.progress_every);
         let stats = chunk::par_fold_chunks(
             source(),
             self.threads,
@@ -319,36 +313,27 @@ impl Pipeline {
         );
 
         // Stages 3–3c over the accumulated buckets, folded into the
-        // per-ASN decision table. The buckets (one f64 per record) are
-        // the dominant resident set at paper scale — release them
-        // before pass 2 runs.
+        // per-ASN decision table; then stage 4 decides every record by
+        // replaying the slot column against it.
         let stages = self.derive_stages(&mapping, &stats);
-        let records = stats.records;
-        drop(stats);
-
-        // Pass 2: re-stream the source and decide each record.
-        let pass = accept_pass(&stages.table, source(), opts, self.threads);
-        debug_assert_eq!(pass.bitmap.len(), records, "source must re-stream");
-        StreamedReport::assemble(mapping, stages, records, pass)
+        let mut accept = AcceptState::new();
+        accept.reset(stages.table.clone(), opts);
+        accept.replay(&stats);
+        StreamedReport::assemble(mapping, stages, stats.records, accept.into_pass())
     }
 }
 
-/// Record-count heartbeat state for one streaming pass: prints to
+/// Record-count heartbeat state for the statistics pass: prints to
 /// stderr every `every` records (never wall-clock, so the lint's
 /// determinism rules hold), silent when `every == 0`.
 struct Progress {
     every: usize,
-    label: &'static str,
     done: usize,
 }
 
 impl Progress {
-    fn new(every: usize, label: &'static str) -> Progress {
-        Progress {
-            every,
-            label,
-            done: 0,
-        }
+    fn new(every: usize) -> Progress {
+        Progress { every, done: 0 }
     }
 
     fn advance(&mut self, records: usize) {
@@ -359,14 +344,16 @@ impl Progress {
         let before = self.done / self.every;
         self.done += records;
         if self.done / self.every > before {
-            eprintln!("    [{}] {} records", self.label, self.done);
+            eprintln!("    [stats pass] {} records", self.done);
         }
     }
 }
 
-/// What one accept pass over a chunked stream produced (shared with the
-/// online identifier's snapshot path).
-#[derive(Debug, Clone)]
+/// What deciding a record stream produced: the per-operator counts,
+/// the bitmap, and the optional dense vector and per-operator samples
+/// (built by [`AcceptState::replay`], shared with the online
+/// identifier's snapshot path).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct AcceptPass {
     pub(crate) counts: BTreeMap<Operator, u64>,
     pub(crate) bitmap: AcceptBitmap,
@@ -385,82 +372,6 @@ impl AcceptPass {
                 .then(BTreeMap::<Operator, Vec<f64>>::new),
         }
     }
-
-    /// Fold `other` (the later chunk) in after `self`, preserving record
-    /// order in the bitmap, dense vector, and per-operator samples.
-    pub(crate) fn absorb(&mut self, other: AcceptPass) {
-        for (op, n) in other.counts {
-            *self.counts.entry(op).or_default() += n;
-        }
-        self.bitmap.append(&other.bitmap);
-        if let (Some(dense), Some(mut other)) = (self.dense.as_mut(), other.dense) {
-            dense.append(&mut other);
-        }
-        if let (Some(by_op), Some(other)) = (self.latencies.as_mut(), other.latencies) {
-            for (op, mut samples) in other {
-                by_op.entry(op).or_default().append(&mut samples);
-            }
-        }
-    }
-
-    /// Decide one record into this pass — the row body of
-    /// [`accept_pass`], shared with the compacted-slot replay so both
-    /// build byte-identical state.
-    pub(crate) fn decide_into(&mut self, table: &AcceptTable, asn: Asn, lat: f64) {
-        let decision = table.decide(asn, lat);
-        self.bitmap.push(decision.is_some());
-        if let Some(op) = decision {
-            *self.counts.entry(op).or_default() += 1;
-            if let Some(by_op) = self.latencies.as_mut() {
-                by_op.entry(op).or_default().push(lat);
-            }
-        }
-        if let Some(dense) = self.dense.as_mut() {
-            dense.push(decision);
-        }
-    }
-
-    /// Merge `other` (the later chunk) after `self` by value (the
-    /// fold-step shape).
-    fn merge(mut self, other: AcceptPass) -> AcceptPass {
-        self.absorb(other);
-        self
-    }
-}
-
-/// Decide every record of a chunked stream through the per-ASN table,
-/// column-wise per chunk. Chunks are decided on the worker pool and the
-/// per-chunk partials merge in chunk order, so counts, bitmap, dense
-/// vector, and per-operator samples are byte-identical to a serial pass
-/// at every thread count.
-pub(crate) fn accept_pass<C>(
-    table: &AcceptTable,
-    stream: C,
-    opts: StreamOptions,
-    threads: usize,
-) -> AcceptPass
-where
-    C: RecordChunks<Item = NdtRecord>,
-    C::Item: Sync,
-{
-    let mut progress = Progress::new(opts.progress_every, "accept pass");
-    chunk::par_fold_chunks(
-        stream,
-        threads,
-        AcceptPass::empty(opts),
-        |chunk| {
-            let batch = RecordBatch::from_records(chunk);
-            let mut part = AcceptPass::empty(opts);
-            for (&asn, &lat) in batch.asns().iter().zip(batch.latency_p5()) {
-                part.decide_into(table, asn, lat);
-            }
-            part
-        },
-        |acc, part| {
-            progress.advance(part.bitmap.len());
-            acc.merge(part)
-        },
-    )
 }
 
 #[cfg(test)]
@@ -494,57 +405,22 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_append_matches_bitwise_push_at_any_alignment() {
-        let pattern: Vec<bool> = (0..300).map(|i| i % 3 == 0 || i % 11 == 0).collect();
-        // Split the pattern at every alignment class and a few long
-        // tails; appending the halves must equal pushing every bit.
-        for split in [0, 1, 5, 63, 64, 65, 128, 200, 300] {
-            let mut left = AcceptBitmap::new();
-            for &bit in &pattern[..split] {
-                left.push(bit);
-            }
-            let mut right = AcceptBitmap::new();
-            for &bit in &pattern[split..] {
-                right.push(bit);
-            }
-            left.append(&right);
-            assert_eq!(left.len(), pattern.len(), "split {split}");
-            for (i, &bit) in pattern.iter().enumerate() {
-                assert_eq!(left.get(i), bit, "split {split} bit {i}");
-            }
-            assert_eq!(
-                left.count_ones(),
-                pattern.iter().filter(|&&b| b).count(),
-                "split {split}"
-            );
-        }
-        // Repeated small appends (the per-chunk merge shape).
-        let mut acc = AcceptBitmap::new();
-        for piece in pattern.chunks(7) {
-            let mut part = AcceptBitmap::new();
-            for &bit in piece {
-                part.push(bit);
-            }
-            acc.append(&part);
-        }
-        for (i, &bit) in pattern.iter().enumerate() {
-            assert_eq!(acc.get(i), bit, "chunked bit {i}");
-        }
-    }
-
-    #[test]
     fn corpus_stats_batch_fold_matches_row_observe() {
         // Column-wise partials over consecutive row ranges, merged in
         // range order (the pass-1 shape), land on the row fold's buckets
-        // at every split.
-        let corpus = MlabGenerator::new(small_config()).generate();
+        // and slots at every split. The generator only emits curated
+        // ASNs, so a few records move to an unmapped one.
+        let mut records = MlabGenerator::new(small_config()).generate().records;
+        for rec in records.iter_mut().step_by(97) {
+            rec.asn = Asn(398101);
+        }
         let mapping = map_asns();
         let mut serial = CorpusStats::new();
-        for rec in &corpus.records {
+        for rec in &records {
             serial.observe(&mapping, rec);
         }
         let index = AsnOps::new(&mapping);
-        let batch = RecordBatch::from_records(&corpus.records);
+        let batch = RecordBatch::from_records(&records);
         for step in [1usize, 1024, batch.len()] {
             let mut columnar = CorpusStats::new();
             for start in (0..batch.len()).step_by(step) {
@@ -555,7 +431,11 @@ mod tests {
             assert_eq!(columnar.records, serial.records, "step {step}");
             assert_eq!(columnar.by_asn, serial.by_asn, "step {step}");
             assert_eq!(columnar.by_prefix, serial.by_prefix, "step {step}");
+            assert_eq!(columnar.slots, serial.slots, "step {step}");
         }
+        assert_eq!(serial.slots.len(), serial.records);
+        assert!(serial.slots.contains(&UNMAPPED));
+        assert!(serial.slots.iter().any(|&s| s != UNMAPPED));
     }
 
     #[test]
@@ -594,6 +474,22 @@ mod tests {
                 assert_eq!(streamed.bitmap.get(i), acc.is_some(), "bit {i}");
             }
         }
+    }
+
+    #[test]
+    fn run_streamed_calls_its_source_once() {
+        let corpus = MlabGenerator::new(small_config()).generate();
+        let calls = std::cell::Cell::new(0usize);
+        let report = Pipeline::new().run_streamed(
+            || {
+                calls.set(calls.get() + 1);
+                slice_chunks(&corpus.records, 1024)
+            },
+            StreamOptions::default(),
+        );
+        assert_eq!(calls.get(), 1);
+        assert_eq!(report.records, corpus.records.len());
+        assert_eq!(report.bitmap.len(), corpus.records.len());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Compact binary corpus format: length-prefixed little-endian record
 //! frames behind a versioned header.
 //!
-//! The two-pass streamed pipeline re-streams its source once per pass;
-//! when the source is a generator, the second pass pays full generation
-//! again. Encoding the first pass's chunks into an in-memory byte
-//! buffer turns the second pass into a replay: ~52 bytes per record,
-//! decoded back bit-for-bit (floats travel as raw IEEE-754 bits, so
-//! even NaN payloads survive).
+//! An encoded corpus is a chunked source that streams any number of
+//! times without re-running the generator that produced it: ~52 bytes
+//! per record, decoded back bit-for-bit (floats travel as raw IEEE-754
+//! bits, so even NaN payloads survive). The windowed online identifier
+//! keeps its retained records in this format, and a caller that
+//! identifies one corpus repeatedly can pay generation once.
 //!
 //! Wire layout, all integers little-endian:
 //!
@@ -254,7 +254,7 @@ impl Encoder {
     }
 
     /// Append every frame of another encoder, in order — how sharded
-    /// online ingest merges per-shard replay logs. Byte-wise this equals
+    /// windowed online ingest merges per-shard replay logs. Byte-wise this equals
     /// having pushed the other encoder's records after this one's.
     pub fn append(&mut self, other: &Encoder) {
         self.bytes.extend_from_slice(&other.bytes[HEADER_LEN..]);
@@ -272,7 +272,7 @@ impl Encoder {
     }
 
     /// Resident wire bytes (header included) — the replay log's memory
-    /// footprint, what compaction is bounding.
+    /// footprint, what windowed eviction bounds.
     pub fn byte_len(&self) -> usize {
         self.bytes.len()
     }
@@ -285,28 +285,15 @@ impl Encoder {
     /// # Panics
     /// Panics if `chunk_len == 0`.
     pub fn chunks(&self, chunk_len: usize) -> DecodeChunks<'_> {
-        self.tail_chunks(0, chunk_len)
-    }
-
-    /// Stream only the frames at index `from` and later (0-based, in
-    /// push order) — how an incremental snapshot replays just the
-    /// frames appended since its high-water mark. `from` past the end
-    /// yields an empty stream. Fixed-size frames make the seek a
-    /// constant-time offset computation.
-    ///
-    /// # Panics
-    /// Panics if `chunk_len == 0`.
-    pub fn tail_chunks(&self, from: usize, chunk_len: usize) -> DecodeChunks<'_> {
-        assert!(chunk_len > 0, "tail_chunks: chunk_len must be positive");
-        let start = from.min(self.count as usize);
+        assert!(chunk_len > 0, "chunks: chunk_len must be positive");
         DecodeChunks {
             bytes: &self.bytes,
-            offset: HEADER_LEN + start * FRAME_LEN,
+            offset: HEADER_LEN,
             chunk_len,
         }
     }
 
-    /// Drop the first `n` frames (truncation-safe compaction): the
+    /// Drop the first `n` frames (truncation-safe eviction): the
     /// remaining frames keep their relative order and re-validate as a
     /// well-formed corpus, byte-identical to re-encoding the surviving
     /// suffix. Dropping more frames than exist clears the log.
@@ -502,21 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_chunks_decode_the_suffix_at_any_offset() {
-        let records = sample(61);
-        let mut enc = Encoder::new();
-        enc.extend_records(&records);
-        for from in [0usize, 1, 13, 60, 61, 99] {
-            for chunk_len in [1usize, 8, 4096] {
-                let tail = enc.tail_chunks(from, chunk_len).collect_records();
-                let want = &records[from.min(records.len())..];
-                assert_eq!(tail, want, "from {from} chunk_len {chunk_len}");
-            }
-        }
-        assert!(enc.tail_chunks(61, 16).next_chunk().is_none());
-    }
-
-    #[test]
     fn drop_front_equals_reencoding_the_suffix() {
         let records = sample(37);
         for n in [0usize, 1, 17, 36, 37, 50] {
@@ -526,7 +498,7 @@ mod tests {
             let kept = &records[n.min(records.len())..];
             assert_eq!(enc.len(), kept.len(), "n {n}");
             assert_eq!(enc.chunks(8).collect_records(), kept, "n {n}");
-            // The compacted log seals into a corpus that validates and
+            // The trimmed log seals into a corpus that validates and
             // byte-equals a fresh encoding of the surviving suffix.
             let sealed = enc.finish();
             assert_eq!(sealed, encode_records(kept), "n {n}");
