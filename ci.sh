@@ -98,6 +98,24 @@ fi
 run online-gate cargo run --release --offline -p sno-bench --bin repro -- \
     --online --verify-batch --scale 2e-3
 
+# Output gate: repro's stdout for every experiment at the default scale
+# must equal the committed tests/corpora/repro_default.txt byte for byte,
+# at the default settings, at one thread and with chunked generation.
+# A change that is meant to alter a figure regenerates the file with
+# `./target/release/repro > tests/corpora/repro_default.txt` and says so.
+repro_golden() {
+    local golden=tests/corpora/repro_default.txt args
+    for args in "" "--threads 1" "--chunk 4096"; do
+        # $args is unquoted on purpose: it splits into flags.
+        # shellcheck disable=SC2086
+        if ! ./target/release/repro $args 2>/dev/null | diff -u "$golden" -; then
+            echo "repro ${args:-(defaults)}: stdout differs from $golden" >&2
+            return 1
+        fi
+    done
+}
+run repro-golden repro_golden
+
 # Benchmark gate: the repository benchmark's own output checks, briefly.
 # Builds benches/snobench (its own package, so the workspace lock file is
 # untouched), then runs each workload for 2 s with tracing on. Every op's

@@ -9,6 +9,7 @@
 use crate::context::ReproContext;
 use sno_core::analysis;
 use sno_core::validate::AsnVerdict;
+use sno_stats::Kde;
 use sno_types::chunk::RecordChunks as _;
 use sno_types::records::CountryCode;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, Rng};
@@ -219,18 +220,39 @@ fn fig2(ctx: &ReproContext) -> String {
         (201554, "SES anomaly (planted terrestrial)"),
         (10538, "TelAlaska (GEO mixed with wireline)"),
     ];
+    // The verdicts decide on band counts; the mode count only draws the
+    // figure, from a KDE fitted here over each listed ASN's latencies.
+    let mut samples: std::collections::BTreeMap<Asn, Vec<f64>> = interesting
+        .iter()
+        .map(|&(asn, _)| (Asn(asn), Vec::new()))
+        .collect();
+    for rec in &ctx.mlab().records {
+        if let Some(latencies) = samples.get_mut(&rec.asn) {
+            latencies.push(rec.latency_p5.0);
+        }
+    }
     let mut out = String::new();
     for &(asn, label) in interesting {
         let Some(p) = report.profiles.iter().find(|p| p.asn == Asn(asn)) else {
             continue;
         };
+        let modes = match samples.get(&Asn(asn)) {
+            Some(latencies) if p.verdict != AsnVerdict::Insufficient => fig2_modes(latencies),
+            _ => 0,
+        };
         let _ = writeln!(
             out,
-            "AS{asn:<7} {label}\n         tests {:>6}, mass<100ms {:.2}, expected-band mass {:.2}, modes {}, verdict {:?}",
-            p.tests, p.terrestrial_mass, p.expected_mass, p.modes, p.verdict
+            "AS{asn:<7} {label}\n         tests {:>6}, mass<100ms {:.2}, expected-band mass {:.2}, modes {modes}, verdict {:?}",
+            p.tests, p.terrestrial_mass, p.expected_mass, p.verdict
         );
     }
     out
+}
+
+/// Figure 2's mode count of one ASN's latency KDE: local maxima above
+/// 20 % of the peak on a 400-point grid over 0-1200 ms.
+fn fig2_modes(latencies: &[f64]) -> usize {
+    Kde::fit(latencies).map_or(0, |kde| kde.modes_on_grid(0.0, 1_200.0, 400, 0.2))
 }
 
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
@@ -1096,6 +1118,37 @@ mod tests {
         let out = run_experiment(ctx(), "table1").unwrap();
         assert!(out.contains("Starlink"));
         assert!(out.contains("SNOs identified: 18"));
+    }
+
+    #[test]
+    fn fig2_mode_counts_come_from_each_asns_records() {
+        // Stage 3 fits no KDE, so fig2 fits its own: each mode count must
+        // be that of a KDE over every record of the listed ASN.
+        let out = run_experiment(ctx(), "fig2").unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 14, "{out}");
+        for pair in lines.chunks(2) {
+            let asn: u32 = pair[0]
+                .strip_prefix("AS")
+                .and_then(|rest| rest.split_whitespace().next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no ASN in {:?}", pair[0]));
+            let printed: usize = pair[1]
+                .split("modes ")
+                .nth(1)
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no mode count in {:?}", pair[1]));
+            let latencies: Vec<f64> = ctx()
+                .mlab()
+                .records
+                .iter()
+                .filter(|r| r.asn == Asn(asn))
+                .map(|r| r.latency_p5.0)
+                .collect();
+            let kde = Kde::fit(&latencies).expect("every listed ASN has records");
+            assert_eq!(printed, kde.modes_on_grid(0.0, 1200.0, 400, 0.2), "AS{asn}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::asn_map::AsnMapping;
 use crate::prefix_filter::MEO_FLOOR_MS;
 use crate::stream::{AcceptPass, CorpusStats, StreamOptions};
-use crate::validate::AsnVerdict;
+use crate::validate::{AsnVerdict, LatencyBands};
 use sno_types::{AccessKind, Asn, Operator, OrbitClass};
 use std::collections::BTreeMap;
 
@@ -34,7 +34,8 @@ pub const UNMAPPED: Slot = Slot::MAX;
 /// Sorted ASN→operator index: what [`AsnMapping::operator_of`] answers,
 /// without the per-call linear scan. Ties (an ASN listed under two
 /// operators) resolve to the first operator in mapping order, exactly
-/// as the linear scan does.
+/// as the linear scan does. It also carries the band edges the
+/// statistics pass counts each slot's latencies at.
 #[derive(Debug, Clone)]
 pub struct AsnOps {
     asns: Vec<Asn>,
@@ -43,11 +44,19 @@ pub struct AsnOps {
     /// of LEO-including operators (identified at ASN granularity, so
     /// the strict prefix filter never sees them).
     prefix_ops: Vec<Option<Operator>>,
+    /// [`LatencyBands::edges`] of the bands stage 3 reads.
+    edges: Vec<f64>,
 }
 
 impl AsnOps {
-    /// Build the index from a curated mapping.
+    /// Build the index from a curated mapping, counting at the default
+    /// [`LatencyBands`] (those of [`Pipeline::default`](crate::Pipeline)).
     pub fn new(mapping: &AsnMapping) -> AsnOps {
+        AsnOps::with_bands(mapping, LatencyBands::default())
+    }
+
+    /// Build the index from a curated mapping, counting at `bands`.
+    pub(crate) fn with_bands(mapping: &AsnMapping, bands: LatencyBands) -> AsnOps {
         let mut pairs: Vec<(Asn, Operator)> = Vec::new();
         for (&op, asns) in &mapping.mapping {
             for &asn in asns {
@@ -70,7 +79,13 @@ impl AsnOps {
             asns,
             ops,
             prefix_ops,
+            edges: bands.edges(),
         }
+    }
+
+    /// The band edges each slot's latencies are counted at.
+    pub(crate) fn edges(&self) -> &[f64] {
+        &self.edges
     }
 
     /// The operator an ASN maps to (the indexed `operator_of`).
@@ -98,7 +113,7 @@ impl AsnOps {
 /// What to do with a record from one ASN, given only its latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum AsnRule {
-    /// Unconditionally rejected (KDE outlier verdict).
+    /// Unconditionally rejected (stage-3 outlier verdict).
     Reject,
     /// Unconditionally attributed (LEO: identified at ASN level).
     Accept(Operator),
@@ -401,8 +416,8 @@ mod tests {
             return None;
         }
         match sno_registry::sources::access_of(op) {
-            // LEO operators are identified at ASN granularity; the KDE
-            // stage already removed the bad ASNs.
+            // LEO operators are identified at ASN granularity; stage 3
+            // already removed the bad ASNs.
             AccessKind::Satellite(OrbitClass::Leo) => Some(op),
             // The MEO operator likewise, with the regime floor as a
             // sanity cut.

@@ -8,10 +8,13 @@
 //!    category search plus Hurricane-Electric-style name search, then
 //!    manually curate away the lookalikes (cable TV, teleports, fleet
 //!    tracking);
-//! 2. [`validate`] — check each ASN's latency KDE against the access
+//! 2. [`validate`] — check each ASN's latency profile against the access
 //!    technology its operator sells; flag corporate/terrestrial ASNs
 //!    (Starlink AS27277), broken hybrids (SES AS201554) and ASNs mixing
-//!    regimes internally (TelAlaska AS10538);
+//!    regimes internally (TelAlaska AS10538). The paper reads the
+//!    profiles off KDE curves (Figure 2); the rules decide on exact
+//!    empirical band masses, from integer [`validate::BandCounts`] the
+//!    statistics pass folds per ASN, so no KDE is fitted here;
 //! 3. [`prefix_filter`] — the strict per-`/24` filter (≥ 10 tests, all
 //!    latencies inside the MEO > 200 ms / GEO > 500 ms bands), and the
 //!    relaxed filter derived from it (per-operator minimum latency,
@@ -20,10 +23,11 @@
 //!    runs the identification: one pass over a chunked record stream in
 //!    bounded memory (per-chunk columnar accumulators over
 //!    struct-of-arrays [`sno_types::RecordBatch`]es, which also keep
-//!    each record's ASN slot), then an accept replay of that slot column
-//!    through the per-ASN decision tables of [`accept`], producing the
-//!    SNO catalog (Table 1), a compact acceptance bitmap and the one
-//!    report type, [`StreamedReport`];
+//!    each ASN's band counts and each record's ASN slot), then stages
+//!    3–3c and an accept replay of that slot column through the
+//!    per-ASN decision tables of [`accept`], producing the SNO catalog
+//!    (Table 1), a compact acceptance bitmap and the one report type,
+//!    [`StreamedReport`];
 //! 5. [`pipeline`] — the configured [`Pipeline`], the stage 3–3c
 //!    derivation (plus its incremental cache), and [`Pipeline::run`]:
 //!    `run_streamed` over an in-memory slice with the dense per-record
@@ -54,4 +58,4 @@ pub use online::{MergeError, OnlineIdentifier, PopFlag};
 pub use pipeline::Pipeline;
 pub use prefix_filter::{relaxed_thresholds, strict_filter, StrictOutcome};
 pub use stream::{AcceptBitmap, CorpusStats, StreamOptions, StreamedReport};
-pub use validate::{validate_asns, AsnVerdict, LatencyBands};
+pub use validate::{validate_asns, AsnVerdict, BandCounts, LatencyBands};

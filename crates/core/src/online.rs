@@ -9,31 +9,33 @@
 //!
 //! * **Ingest** — each arriving chunk is columnarized and folded into the
 //!   same [`CorpusStats`] accumulator the streamed pipeline uses (per-ASN
-//!   latency buckets for KDE validation, per-`(operator, /24)` buckets
-//!   for the strict filter, one 2-byte ASN slot per record for the
-//!   accept replay), and tracked in per-operator latency sketches and
-//!   `(timestamp, latency)` buckets for the PoP-change flags. A NaN
+//!   band counts for stage 3, per-ASN latency buckets and one 2-byte ASN
+//!   slot per record for the accept replay, per-`(operator, /24)`
+//!   buckets for the strict filter), and tracked in per-operator latency
+//!   sketches and `(timestamp, latency)` buckets for the PoP-change
+//!   flags. A NaN
 //!   latency stays in the statistics, which decide it as the batch
 //!   pipeline does, but out of the sketches and the PoP-flag series.
 //!   Every ingest step is O(chunk), never O(corpus).
 //! * **Merge** — identifiers built over disjoint shards of a stream merge
 //!   in shard order into the exact state serial ingest would have built:
-//!   `CorpusStats::merge` appends buckets and slot columns, windowed
-//!   replay logs concatenate byte-wise, and the [`QuantileSketch`]es are
-//!   ingest-order-invariant by construction. This is what lets
-//!   `sno_types::par` shard the ingest across threads without changing a
-//!   single output byte. The contract: both identifiers keep the same
-//!   window, or [`OnlineIdentifier::merge`] returns a [`MergeError`] and
-//!   changes nothing. Either side may already have snapshotted. The
-//!   absorbed shard's decisions are dropped and its records decided by
-//!   the next snapshot; `self`'s decided records stay a prefix of the
-//!   merged stream, and its per-ASN cursors a prefix of each merged
-//!   bucket.
+//!   `CorpusStats::merge` appends buckets and slot columns and adds band
+//!   counts, windowed replay logs concatenate byte-wise, and the
+//!   [`QuantileSketch`]es are ingest-order-invariant by construction.
+//!   This is what lets `sno_types::par` shard the ingest across threads
+//!   without changing a single output byte. The contract: both
+//!   identifiers keep the same window and the same latency bands, or
+//!   [`OnlineIdentifier::merge`] returns a [`MergeError`] and changes
+//!   nothing. Either side may already have snapshotted. The absorbed
+//!   shard's decisions are dropped and its records decided by the next
+//!   snapshot; `self`'s decided records stay a prefix of the merged
+//!   stream, and its per-ASN cursors a prefix of each merged bucket.
 //! * **Snapshot** — [`OnlineIdentifier::snapshot`] re-derives stages
-//!   3–3c through a memoizing [`StageCache`] (only buckets that grew
-//!   since the last snapshot are re-evaluated) and compares the
-//!   resulting [`AcceptTable`](crate::accept::AcceptTable) with the one
-//!   the persistent [`AcceptState`] was decided under. *Unchanged* →
+//!   3–3c through a memoizing [`StageCache`] (profiles are one count
+//!   lookup per curated ASN; only strict buckets that grew since the
+//!   last snapshot are re-evaluated) and compares the resulting
+//!   [`AcceptTable`](crate::accept::AcceptTable) with the one the
+//!   persistent [`AcceptState`] was decided under. *Unchanged* →
 //!   only the records ingested since the last snapshot replay from the
 //!   slot column (O(delta)). *Shifted* → the *epoch* bumps and the whole
 //!   slot column replays. Either way the records are decided by the
@@ -61,11 +63,10 @@ use crate::accept::{AcceptState, AsnOps, Slot};
 use crate::asn_map::{map_asns, AsnMapping};
 use crate::pipeline::{Pipeline, StageCache};
 use crate::stream::{CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN};
-use crate::validate::{profile_from_sketch, AsnProfile};
 use sno_stats::{daily_medians, OnlineShiftDetector, QuantileSketch, Shift};
 use sno_types::chunk::{slice_chunks, RecordChunks};
 use sno_types::records::NdtRecord;
-use sno_types::{codec, Asn, Operator, RecordBatch, Timestamp, UtcDay};
+use sno_types::{codec, Operator, RecordBatch, Timestamp, UtcDay};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -94,6 +95,9 @@ pub enum MergeError {
         /// The window of the absorbed shard.
         theirs: Option<u64>,
     },
+    /// The identifiers keep different latency bands: their band counts
+    /// may count below different edges, which do not add up.
+    BandsMismatch,
 }
 
 impl fmt::Display for MergeError {
@@ -103,6 +107,9 @@ impl fmt::Display for MergeError {
                 f,
                 "cannot merge an identifier with window {theirs:?} into one with window {ours:?}"
             ),
+            MergeError::BandsMismatch => {
+                write!(f, "cannot merge identifiers with different latency bands")
+            }
         }
     }
 }
@@ -130,9 +137,6 @@ pub struct OnlineIdentifier {
     latest: Option<Timestamp>,
     by_operator: BTreeMap<Operator, Vec<(Timestamp, f64)>>,
     sketches: BTreeMap<Operator, QuantileSketch>,
-    /// Per-ASN latency sketches for buffer-free verdict validation,
-    /// when [`OnlineIdentifier::track_asn_sketches`] opted in.
-    asn_sketches: Option<BTreeMap<Asn, QuantileSketch>>,
     cache: StageCache,
     accept: AcceptState,
 }
@@ -142,7 +146,7 @@ impl OnlineIdentifier {
     /// reports over everything ingested).
     pub fn new(pipeline: Pipeline) -> OnlineIdentifier {
         let mapping = map_asns();
-        let index = AsnOps::new(&mapping);
+        let index = AsnOps::with_bands(&mapping, pipeline.bands);
         OnlineIdentifier {
             pipeline,
             mapping,
@@ -155,7 +159,6 @@ impl OnlineIdentifier {
             latest: None,
             by_operator: BTreeMap::new(),
             sketches: BTreeMap::new(),
-            asn_sketches: None,
             cache: StageCache::default(),
             accept: AcceptState::new(),
         }
@@ -168,15 +171,6 @@ impl OnlineIdentifier {
         OnlineIdentifier {
             window_secs: Some(window_secs),
             ..OnlineIdentifier::new(pipeline)
-        }
-    }
-
-    /// Also maintain per-ASN latency sketches at ingest — the input to
-    /// [`OnlineIdentifier::sketch_profiles`]. Call before the first
-    /// ingest (records already absorbed are not back-filled).
-    pub fn track_asn_sketches(&mut self) {
-        if self.asn_sketches.is_none() {
-            self.asn_sketches = Some(BTreeMap::new());
         }
     }
 
@@ -213,9 +207,6 @@ impl OnlineIdentifier {
             if let Some(op) = self.index.get(asn) {
                 self.by_operator.entry(op).or_default().push((ts, lat));
                 self.sketches.entry(op).or_default().push(lat);
-                if let Some(by_asn) = self.asn_sketches.as_mut() {
-                    by_asn.entry(asn).or_default().push(lat);
-                }
             }
         }
     }
@@ -232,13 +223,17 @@ impl OnlineIdentifier {
     ///
     /// # Errors
     /// [`MergeError::WindowMismatch`] when the two identifiers keep
-    /// different windows; `self` is left untouched.
+    /// different windows, and [`MergeError::BandsMismatch`] when they
+    /// keep different latency bands; `self` is left untouched.
     pub fn merge(&mut self, other: OnlineIdentifier) -> Result<(), MergeError> {
         if self.window_secs != other.window_secs {
             return Err(MergeError::WindowMismatch {
                 ours: self.window_secs,
                 theirs: other.window_secs,
             });
+        }
+        if self.pipeline.bands != other.pipeline.bands {
+            return Err(MergeError::BandsMismatch);
         }
         self.stats = std::mem::take(&mut self.stats).merge(other.stats);
         self.stats_rev += 1;
@@ -254,11 +249,6 @@ impl OnlineIdentifier {
         }
         for (op, sketch) in other.sketches {
             self.sketches.entry(op).or_default().merge(&sketch);
-        }
-        if let (Some(mine), Some(theirs)) = (self.asn_sketches.as_mut(), other.asn_sketches) {
-            for (asn, sketch) in theirs {
-                mine.entry(asn).or_default().merge(&sketch);
-            }
         }
         Ok(())
     }
@@ -305,27 +295,6 @@ impl OnlineIdentifier {
         &self.sketches
     }
 
-    /// Per-ASN profiles validated against the streaming sketches
-    /// instead of retained latency buffers — `None` unless
-    /// [`OnlineIdentifier::track_asn_sketches`] was enabled. Verdicts
-    /// agree with the buffer-backed KDE stage up to the sketch's bin
-    /// resolution (see `validate::profile_from_sketch`).
-    pub fn sketch_profiles(&self) -> Option<Vec<AsnProfile>> {
-        let by_asn = self.asn_sketches.as_ref()?;
-        let empty = QuantileSketch::default();
-        Some(
-            self.mapping
-                .mapping
-                .iter()
-                .flat_map(|(&op, asns)| asns.iter().map(move |&asn| (op, asn)))
-                .map(|(op, asn)| {
-                    let sketch = by_asn.get(&asn).unwrap_or(&empty);
-                    profile_from_sketch(op, asn, sketch, self.pipeline.bands)
-                })
-                .collect(),
-        )
-    }
-
     /// Render the current state through the standard report path. The
     /// report is byte-identical to [`Pipeline::run_streamed`] over the
     /// same records (the whole stream, or the sliding window if one was
@@ -346,9 +315,13 @@ impl OnlineIdentifier {
     /// The unwindowed path: maintain the persistent accept state,
     /// deciding only what the current epoch has not decided yet.
     fn incremental_snapshot(&mut self, opts: StreamOptions) -> StreamedReport {
-        let stages = self
-            .cache
-            .derive(&self.pipeline, &self.mapping, &self.stats, self.stats_rev);
+        let stages = self.cache.derive(
+            &self.pipeline,
+            &self.mapping,
+            &self.index,
+            &self.stats,
+            self.stats_rev,
+        );
         if !self.accept.compatible(&stages.table, opts) {
             // Epoch bump: the table shifted (or this is the first
             // snapshot / the pass shape changed) — re-decide the whole
@@ -443,6 +416,7 @@ impl OnlineIdentifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::LatencyBands;
     use sno_types::{Asn, Ipv4, Mbps, Millis};
 
     fn small_config() -> sno_synth::SynthConfig {
@@ -608,6 +582,46 @@ mod tests {
     }
 
     #[test]
+    fn merge_refuses_other_latency_bands() {
+        let records = corpus();
+        let (head, tail) = records.split_at(records.len() / 2);
+        let with_bands = |bands: LatencyBands, part: &[NdtRecord]| {
+            let mut id = OnlineIdentifier::new(Pipeline {
+                bands,
+                ..Pipeline::new()
+            });
+            id.ingest(part);
+            id
+        };
+        // Other edges, and the same edges in other roles.
+        let wider = LatencyBands {
+            terrestrial_max: 120.0,
+            ..LatencyBands::default()
+        };
+        let swapped = LatencyBands {
+            terrestrial_max: 150.0,
+            meo: (100.0, 450.0),
+            ..LatencyBands::default()
+        };
+        assert_eq!(swapped.edges(), LatencyBands::default().edges());
+        let mut acc = with_bands(LatencyBands::default(), head);
+        acc.snapshot(StreamOptions::default());
+        let before = format!("{acc:?}");
+        for theirs in [wider, swapped] {
+            let err = acc
+                .merge(with_bands(theirs, tail))
+                .expect_err("bands differ");
+            assert_eq!(err, MergeError::BandsMismatch);
+            assert!(err.to_string().contains("bands"), "{err}");
+            assert_eq!(format!("{acc:?}"), before, "{theirs:?}");
+        }
+        // Equal bands still merge.
+        acc.merge(with_bands(LatencyBands::default(), tail))
+            .expect("same bands");
+        assert_eq!(acc.ingested(), records.len());
+    }
+
+    #[test]
     fn windowed_shards_merge_after_eviction() {
         // Both shards snapshot, and so evict, before the merge. Every
         // evicted frame is older than each later cutoff of the merged
@@ -703,28 +717,6 @@ mod tests {
         assert_eq!(windowed.resident_frames(), in_window);
         assert_eq!(windowed.ingested(), records.len());
         assert!(windowed.resident_log_bytes() < records.len() * 52);
-    }
-
-    #[test]
-    fn sketch_profiles_cover_the_curated_pairs() {
-        let records = corpus();
-        let mut online = OnlineIdentifier::new(Pipeline::new());
-        assert!(online.sketch_profiles().is_none(), "opt-in only");
-        online.track_asn_sketches();
-        online.ingest(&records);
-        let sketched = online.sketch_profiles().expect("tracking enabled");
-        let report = online.snapshot(StreamOptions::default());
-        assert_eq!(sketched.len(), report.profiles.len());
-        let mut disagreements = 0usize;
-        for (s, k) in sketched.iter().zip(&report.profiles) {
-            assert_eq!((s.operator, s.asn), (k.operator, k.asn));
-            assert_eq!(s.tests, k.tests, "{:?}/{:?}", s.operator, s.asn);
-            if std::mem::discriminant(&s.verdict) != std::mem::discriminant(&k.verdict) {
-                disagreements += 1;
-            }
-        }
-        // Sketch-backed verdicts may wobble only at band boundaries.
-        assert!(disagreements <= 2, "{disagreements} verdicts disagree");
     }
 
     #[test]

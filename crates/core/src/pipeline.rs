@@ -1,13 +1,13 @@
 //! Stage 4: the end-to-end pipeline and the SNO catalog (Table 1).
 
-use crate::accept::AcceptTable;
+use crate::accept::{AcceptTable, AsnOps};
 use crate::asn_map::AsnMapping;
 use crate::prefix_filter::{
     collect_strict, outlier_set, relaxed_thresholds, strict_eval_bucket,
     strict_filter_from_buckets, BucketOutcome, PrefixEntry, StrictOutcome,
 };
 use crate::stream::{CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN};
-use crate::validate::{profile_one, profiles_from_buckets, AsnProfile, LatencyBands};
+use crate::validate::{profiles_from_counts, AsnProfile, LatencyBands};
 use sno_types::chunk::slice_chunks;
 use sno_types::records::NdtRecord;
 use sno_types::{par, Asn, Operator, Prefix24};
@@ -24,7 +24,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {
-    /// Latency bands for the KDE validation stage.
+    /// Latency bands for the stage-3 validation. The statistics pass
+    /// counts each ASN's latencies at their edges.
     pub bands: LatencyBands,
     /// Worker threads for the sharded stages (`0` = all cores). The
     /// report is byte-identical at every setting; see `sno_types::par`.
@@ -43,14 +44,14 @@ pub(crate) struct DerivedStages {
 
 /// Incremental stage 3–3c derivation for the online path.
 ///
-/// [`Pipeline::derive_stages`] recomputes every KDE profile and every
-/// strict prefix bucket from scratch; at snapshot cadence that is the
-/// O(corpus) cost the incremental identifier is built to avoid. The
-/// cache exploits that both stages decompose into pure per-bucket
-/// evaluations over *append-only* buckets:
+/// [`Pipeline::derive_stages`] re-evaluates every strict prefix bucket
+/// from scratch; at snapshot cadence that is the O(corpus) cost the
+/// incremental identifier is built to avoid. The cache exploits that
+/// the strict filter decomposes into pure per-bucket evaluations over
+/// *append-only* buckets:
 ///
-/// - a per-ASN profile depends only on that ASN's latency bucket, so an
-///   unchanged sample count means an unchanged profile;
+/// - the per-ASN profiles come from the pass-1 band counts, one lookup
+///   per curated ASN, and are rebuilt every call;
 /// - a strict `/24` outcome depends only on that bucket's samples and
 ///   the outlier-ASN set, so it is keyed on `(sample count, outlier
 ///   revision)`;
@@ -66,8 +67,6 @@ pub(crate) struct StageCache {
     /// Statistics revision the cached `stages` were derived at.
     rev: Option<u64>,
     stages: Option<DerivedStages>,
-    /// `(operator, asn)` → (bucket length at profile time, profile).
-    profile_memo: BTreeMap<(Operator, Asn), (usize, AsnProfile)>,
     /// `(operator, /24)` → (bucket length, outlier revision, outcome).
     strict_memo: BTreeMap<(Operator, Prefix24), (usize, u64, BucketOutcome)>,
     /// Bumped whenever the outlier-ASN set shifts (invalidates every
@@ -84,6 +83,7 @@ impl StageCache {
         &mut self,
         pipeline: &Pipeline,
         mapping: &AsnMapping,
+        index: &AsnOps,
         stats: &CorpusStats,
         rev: u64,
     ) -> DerivedStages {
@@ -93,40 +93,8 @@ impl StageCache {
             }
         }
 
-        // Stage 3: per-(operator, ASN) profiles. Buckets only append,
-        // so an unchanged sample count implies an unchanged bucket, and
-        // profile_one is a pure function of the bucket.
-        let pairs: Vec<(Operator, Asn)> = mapping
-            .mapping
-            .iter()
-            .flat_map(|(&op, asns)| asns.iter().map(move |&asn| (op, asn)))
-            .collect();
-        let bucket_len = |asn: Asn| stats.by_asn.get(&asn).map_or(0, Vec::len);
-        let mut profiles: Vec<Option<AsnProfile>> = pairs
-            .iter()
-            .map(|&(op, asn)| {
-                self.profile_memo
-                    .get(&(op, asn))
-                    .and_then(|(len, p)| (*len == bucket_len(asn)).then(|| p.clone()))
-            })
-            .collect();
-        let missing: Vec<usize> = profiles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.is_none().then_some(i))
-            .collect();
-        let fresh = par::shard_map(missing.len(), pipeline.threads, |k| {
-            let (op, asn) = pairs[missing[k]];
-            let latencies = stats.by_asn.get(&asn).map(Vec::as_slice).unwrap_or(&[]);
-            profile_one(op, asn, latencies, pipeline.bands)
-        });
-        for (profile, &i) in fresh.into_iter().zip(&missing) {
-            let (op, asn) = pairs[i];
-            self.profile_memo
-                .insert((op, asn), (bucket_len(asn), profile.clone()));
-            profiles[i] = Some(profile);
-        }
-        let profiles: Vec<AsnProfile> = profiles.into_iter().flatten().collect();
+        // Stage 3: one count lookup per curated ASN.
+        let profiles = pipeline.asn_profiles(mapping, index, stats);
         let verdict_of: BTreeMap<_, _> = profiles
             .iter()
             .map(|p| (p.asn, p.verdict.clone()))
@@ -217,9 +185,15 @@ impl Pipeline {
     /// they determine, derived from scratch: what
     /// [`Pipeline::run_streamed`] runs between its passes, and the
     /// reference the incremental [`StageCache`] is checked against.
-    pub(crate) fn derive_stages(&self, mapping: &AsnMapping, stats: &CorpusStats) -> DerivedStages {
-        // Stage 3: KDE validation.
-        let profiles = profiles_from_buckets(mapping, &stats.by_asn, self.bands, self.threads);
+    /// `index` is the one `stats` was folded with.
+    pub(crate) fn derive_stages(
+        &self,
+        mapping: &AsnMapping,
+        index: &AsnOps,
+        stats: &CorpusStats,
+    ) -> DerivedStages {
+        // Stage 3: band-mass validation from the pass-1 counts.
+        let profiles = self.asn_profiles(mapping, index, stats);
         let verdict_of: BTreeMap<_, _> = profiles
             .iter()
             .map(|p| (p.asn, p.verdict.clone()))
@@ -236,6 +210,18 @@ impl Pipeline {
             default_threshold,
             table,
         }
+    }
+
+    /// Stage 3 from the band counts `stats` holds on each ASN's slot.
+    fn asn_profiles(
+        &self,
+        mapping: &AsnMapping,
+        index: &AsnOps,
+        stats: &CorpusStats,
+    ) -> Vec<AsnProfile> {
+        profiles_from_counts(mapping, self.bands, |asn| {
+            stats.band_counts.get(usize::from(index.slot(asn)))
+        })
     }
 }
 
@@ -367,6 +353,7 @@ mod tests {
         })
         .generate();
         let mapping = map_asns();
+        let index = AsnOps::new(&mapping);
         let pipeline = Pipeline::new();
         let mut cache = StageCache::default();
         let mut stats = CorpusStats::new();
@@ -377,8 +364,8 @@ mod tests {
                 stats.observe(&mapping, rec);
             }
             rev += 1;
-            let cached = cache.derive(&pipeline, &mapping, &stats, rev);
-            let fresh = pipeline.derive_stages(&mapping, &stats);
+            let cached = cache.derive(&pipeline, &mapping, &index, &stats, rev);
+            let fresh = pipeline.derive_stages(&mapping, &index, &stats);
             assert_eq!(cached.table, fresh.table);
             assert_eq!(cached.thresholds, fresh.thresholds);
             assert_eq!(
@@ -394,7 +381,7 @@ mod tests {
                 format!("{:?}", fresh.strict)
             );
             // Unchanged revision: the whole-derivation memo answers.
-            let again = cache.derive(&pipeline, &mapping, &stats, rev);
+            let again = cache.derive(&pipeline, &mapping, &index, &stats, rev);
             assert_eq!(again.table, cached.table);
             assert_eq!(
                 format!("{:?}", again.strict),

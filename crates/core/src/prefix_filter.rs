@@ -212,9 +212,9 @@ pub fn strict_filter_threaded(
 /// already-bucketed per-`(operator, /24)` samples (non-LEO operators
 /// only, each bucket in record order, tagged with the source ASN).
 /// This is the entry point for the streaming pipeline: the buckets are
-/// accumulated per chunk *before* the KDE stage has ruled on any ASN,
-/// so outlier-ASN samples are dropped here, and buckets left empty by
-/// that cut were never examined.
+/// accumulated per chunk *before* stage 3 has ruled on any ASN, so
+/// outlier-ASN samples are dropped here, and buckets left empty by that
+/// cut were never examined.
 pub fn strict_filter_from_buckets(
     profiles: &[AsnProfile],
     by_prefix: &BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>>,

@@ -10,11 +10,12 @@
 //!
 //! 1. **Statistics pass** — every chunk is columnarized into a
 //!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
-//!    (per-ASN latency samples for the KDE stage, per-`(operator, /24)`
-//!    samples for the strict filter, and each record's ASN [`Slot`]).
-//!    Accumulators merge in chunk order, so every bucket and the slot
-//!    column hold their entries in record order — byte-identical to a
-//!    serial row-at-a-time fold.
+//!    (per-ASN latency samples, per-slot [`BandCounts`] for stage 3,
+//!    per-`(operator, /24)` samples for the strict filter, and each
+//!    record's ASN [`Slot`]). Accumulators merge in chunk order, so
+//!    every bucket and the slot column hold their entries in record
+//!    order — byte-identical to a serial row-at-a-time fold — and the
+//!    integer counts add up exactly.
 //! 2. **Accept replay** — an accept decision reads a record's ASN and
 //!    p5 latency only, and pass 1 kept both in record order. So the
 //!    records are not streamed again: [`AcceptState`] walks the slot
@@ -36,7 +37,7 @@ use crate::accept::{AcceptState, AsnOps, Slot, UNMAPPED};
 use crate::asn_map::{map_asns, AsnMapping};
 use crate::pipeline::{DerivedStages, Pipeline};
 use crate::prefix_filter::StrictOutcome;
-use crate::validate::AsnProfile;
+use crate::validate::{AsnProfile, BandCounts, LatencyBands};
 use sno_types::chunk::{self, RecordChunks};
 use sno_types::records::NdtRecord;
 use sno_types::{Asn, Operator, OrbitClass, Prefix24, RecordBatch};
@@ -53,11 +54,14 @@ pub(crate) const REPLAY_CHUNK_LEN: usize = 4096;
 pub struct CorpusStats {
     /// Records observed.
     pub records: usize,
-    /// Per-ASN p5 latencies, in record order (KDE validation input).
+    /// Per-ASN p5 latencies, in record order (accept-replay input).
     pub by_asn: BTreeMap<Asn, Vec<f64>>,
+    /// [`BandCounts`] of the same latencies at the index's band edges,
+    /// indexed by [`Slot`] up to the highest slot seen (stage-3 input).
+    pub band_counts: Vec<BandCounts>,
     /// Per-`(operator, /24)` samples for non-LEO operators, tagged with
     /// the source ASN so the strict filter can drop outlier ASNs after
-    /// the KDE stage rules (strict-filter input).
+    /// stage 3 rules (strict-filter input).
     pub by_prefix: BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>>,
     /// Each record's [`Slot`], in record order (accept-replay input):
     /// with `by_asn`, everything stage 4 decides a record from.
@@ -73,7 +77,9 @@ impl CorpusStats {
     /// Fold one record in: the row-at-a-time reference
     /// [`CorpusStats::observe_batch`] is checked against. The slot is
     /// derived from the mapping here, not from [`AsnOps`]: the number
-    /// of distinct curated ASNs below the record's.
+    /// of distinct curated ASNs below the record's. Latencies are
+    /// counted at the default [`LatencyBands`], as [`AsnOps::new`]
+    /// counts them.
     pub fn observe(&mut self, mapping: &AsnMapping, rec: &NdtRecord) {
         self.records += 1;
         self.by_asn
@@ -85,8 +91,9 @@ impl CorpusStats {
             return;
         };
         let curated: BTreeSet<Asn> = mapping.mapping.values().flatten().copied().collect();
-        let below = curated.range(..rec.asn).count();
-        self.slots.push(Slot::try_from(below).unwrap_or(UNMAPPED));
+        let slot = Slot::try_from(curated.range(..rec.asn).count()).unwrap_or(UNMAPPED);
+        self.slots.push(slot);
+        self.count_band(slot, &LatencyBands::default().edges(), rec.latency_p5.0);
         let access = sno_registry::sources::access_of(op);
         if access.includes(OrbitClass::Leo) {
             return; // LEO is identified at ASN level
@@ -99,11 +106,19 @@ impl CorpusStats {
 
     /// Merge `other` (the later shard) into `self`, appending per-key
     /// samples so bucket order equals record order when accumulators
-    /// merge in shard order.
+    /// merge in shard order, and adding the band counts. Both must
+    /// count at the same band edges.
     pub fn merge(mut self, mut other: CorpusStats) -> CorpusStats {
         self.records += other.records;
         for (asn, mut latencies) in other.by_asn {
             self.by_asn.entry(asn).or_default().append(&mut latencies);
+        }
+        if self.band_counts.len() < other.band_counts.len() {
+            self.band_counts
+                .resize(other.band_counts.len(), BandCounts::default());
+        }
+        for (mine, theirs) in self.band_counts.iter_mut().zip(&other.band_counts) {
+            mine.merge(theirs);
         }
         for (key, mut samples) in other.by_prefix {
             self.by_prefix.entry(key).or_default().append(&mut samples);
@@ -112,27 +127,42 @@ impl CorpusStats {
         self
     }
 
-    /// Fold a range of batch rows in, column-wise. Buckets and slots
-    /// come out identical to row-at-a-time [`CorpusStats::observe`]
-    /// calls over the same rows; each record's ASN is resolved to its
-    /// slot once, through the prebuilt sorted [`AsnOps`] index instead
-    /// of a linear scan per record.
+    /// Fold a range of batch rows in, column-wise. Buckets, slots and
+    /// counts come out identical to row-at-a-time
+    /// [`CorpusStats::observe`] calls over the same rows (at the
+    /// index's band edges); each record's ASN is resolved to its slot
+    /// once, through the prebuilt sorted [`AsnOps`] index instead of a
+    /// linear scan per record.
     pub fn observe_batch(&mut self, index: &AsnOps, batch: &RecordBatch, range: Range<usize>) {
         let asns = &batch.asns()[range.clone()];
         let latencies = &batch.latency_p5()[range.clone()];
         let clients = &batch.clients()[range];
         self.records += asns.len();
         self.slots.reserve(asns.len());
+        let edges = index.edges();
         for ((&asn, &lat), client) in asns.iter().zip(latencies).zip(clients) {
             self.by_asn.entry(asn).or_default().push(lat);
             let slot = index.slot(asn);
             self.slots.push(slot);
+            self.count_band(slot, edges, lat);
             if let Some(op) = index.prefix_op(slot) {
                 self.by_prefix
                     .entry((op, client.prefix24()))
                     .or_default()
                     .push((asn, lat));
             }
+        }
+    }
+
+    /// Count one latency on its slot's band counts, growing the column
+    /// to the slot; an unmapped record is counted nowhere.
+    fn count_band(&mut self, slot: Slot, edges: &[f64], latency: f64) {
+        let i = usize::from(slot);
+        if slot != UNMAPPED && self.band_counts.len() <= i {
+            self.band_counts.resize(i + 1, BandCounts::default());
+        }
+        if let Some(counts) = self.band_counts.get_mut(i) {
+            counts.count(edges, latency);
         }
     }
 }
@@ -210,7 +240,7 @@ impl AcceptBitmap {
 pub struct StreamedReport {
     /// Stage 1–2 output.
     pub mapping: AsnMapping,
-    /// Stage 3 output: per-ASN KDE profiles and verdicts.
+    /// Stage 3 output: per-ASN band-mass profiles and verdicts.
     pub profiles: Vec<AsnProfile>,
     /// Stage 3b output.
     pub strict: StrictOutcome,
@@ -287,7 +317,7 @@ impl Pipeline {
     {
         // Stages 1–2: registry mapping + curation.
         let mapping = map_asns();
-        let index = AsnOps::new(&mapping);
+        let index = AsnOps::with_bands(&mapping, self.bands);
 
         // Pass 1: columnarize each chunk and fold it into the
         // statistics accumulator. Chunks are mapped to per-chunk
@@ -312,10 +342,10 @@ impl Pipeline {
             },
         );
 
-        // Stages 3–3c over the accumulated buckets, folded into the
-        // per-ASN decision table; then stage 4 decides every record by
-        // replaying the slot column against it.
-        let stages = self.derive_stages(&mapping, &stats);
+        // Stages 3–3c over the accumulated counts and buckets, folded
+        // into the per-ASN decision table; then stage 4 decides every
+        // record by replaying the slot column against it.
+        let stages = self.derive_stages(&mapping, &index, &stats);
         let mut accept = AcceptState::new();
         accept.reset(stages.table.clone(), opts);
         accept.replay(&stats);
@@ -407,9 +437,10 @@ mod tests {
     #[test]
     fn corpus_stats_batch_fold_matches_row_observe() {
         // Column-wise partials over consecutive row ranges, merged in
-        // range order (the pass-1 shape), land on the row fold's buckets
-        // and slots at every split. The generator only emits curated
-        // ASNs, so a few records move to an unmapped one.
+        // range order (the pass-1 shape), land on the row fold's
+        // buckets, slots and band counts at every split. The generator
+        // only emits curated ASNs, so a few records move to an unmapped
+        // one.
         let mut records = MlabGenerator::new(small_config()).generate().records;
         for rec in records.iter_mut().step_by(97) {
             rec.asn = Asn(398101);
@@ -432,7 +463,12 @@ mod tests {
             assert_eq!(columnar.by_asn, serial.by_asn, "step {step}");
             assert_eq!(columnar.by_prefix, serial.by_prefix, "step {step}");
             assert_eq!(columnar.slots, serial.slots, "step {step}");
+            assert_eq!(columnar.band_counts, serial.band_counts, "step {step}");
         }
+        // The counts cover every mapped record.
+        let counted: usize = serial.band_counts.iter().map(BandCounts::n).sum();
+        let mapped = serial.slots.iter().filter(|&&s| s != UNMAPPED).count();
+        assert_eq!(counted, mapped);
         assert_eq!(serial.slots.len(), serial.records);
         assert!(serial.slots.contains(&UNMAPPED));
         assert!(serial.slots.iter().any(|&s| s != UNMAPPED));

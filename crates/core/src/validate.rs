@@ -1,9 +1,15 @@
-//! Stage 3: KDE validation of ASN→SNO mappings.
+//! Stage 3: latency-profile validation of ASN→SNO mappings.
 //!
-//! For every (operator, ASN) with enough speed tests, fit a Gaussian KDE
-//! to the per-session p5 latencies and compare the mass distribution to
-//! the latency regimes the operator's advertised access technology can
-//! produce. The checks reproduce Figure 2's findings:
+//! For every (operator, ASN) with enough speed tests, compare where its
+//! per-session p5 latencies fall with the latency regimes the
+//! operator's advertised access technology can produce. The paper
+//! draws these profiles as KDE curves (Figure 2), but every rule here
+//! reads only *empirical* band masses: the fraction of samples in
+//! `[lo, hi)`. Those come from exact integer counts at the band edges
+//! ([`BandCounts`]), which the statistics pass folds per ASN, so stage 3
+//! costs O(#ASNs) and never sorts or smooths a sample. The KDE and its
+//! mode count only draw Figure 2 (`repro fig2` fits its own). The
+//! checks reproduce Figure 2's findings:
 //!
 //! * AS27277 (Starlink) has a terrestrial profile → corporate outlier;
 //! * AS201554 (SES) lacks the expected MEO+GEO bimodality → outlier;
@@ -13,14 +19,14 @@
 
 use crate::asn_map::AsnMapping;
 use sno_registry::sources::access_of;
-use sno_stats::{Kde, QuantileSketch};
-use sno_types::par;
 use sno_types::records::NdtRecord;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// Latency bands (ms) per regime, used to interrogate the KDE mass.
-#[derive(Debug, Clone, Copy)]
+/// Latency bands (ms) per regime, the edges of every band mass a
+/// verdict reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBands {
     /// Anything below this is terrestrial-like.
     pub terrestrial_max: f64,
@@ -43,6 +49,9 @@ impl Default for LatencyBands {
     }
 }
 
+/// The most edges a [`LatencyBands`] has.
+const MAX_EDGES: usize = 8;
+
 impl LatencyBands {
     /// The band for one orbit class.
     pub fn band(&self, orbit: OrbitClass) -> (f64, f64) {
@@ -50,6 +59,86 @@ impl LatencyBands {
             OrbitClass::Leo => self.leo,
             OrbitClass::Meo => self.meo,
             OrbitClass::Geo => self.geo,
+        }
+    }
+
+    /// Every bound a verdict reads a mass at (`0`, `terrestrial_max` and
+    /// both ends of each band), ascending, without duplicates or NaN.
+    /// The default bands have seven: 0, 35, 100, 150, 300, 450 and
+    /// 1200 ms.
+    pub fn edges(&self) -> Vec<f64> {
+        let [l, m, g] = [self.leo, self.meo, self.geo];
+        let mut edges = vec![0.0, self.terrestrial_max, l.0, l.1, m.0, m.1, g.0, g.1];
+        edges.retain(|e| !e.is_nan());
+        edges.sort_by(f64::total_cmp);
+        edges.dedup_by(|a, b| a == b);
+        edges
+    }
+}
+
+/// One ASN's latency sample reduced to what stage 3 reads: the sample
+/// count and, for each band edge, the number of samples strictly below
+/// it. A NaN is below no edge, so it falls in no band but counts in
+/// `n`. Counts are integers, so folding chunks in any order, at any
+/// chunk length or thread count, and merging shards gives the same
+/// counts exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BandCounts {
+    /// Samples counted.
+    n: usize,
+    /// `below[i]`: samples strictly below the `i`-th edge the counts
+    /// are folded at (zero past the last edge).
+    below: [usize; MAX_EDGES],
+}
+
+impl BandCounts {
+    /// Samples counted.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The counts of a whole sample at `edges`.
+    pub fn of(edges: &[f64], latencies: &[f64]) -> BandCounts {
+        let mut counts = BandCounts::default();
+        for &latency in latencies {
+            counts.count(edges, latency);
+        }
+        counts
+    }
+
+    /// Count one sample at `edges` (at most the first eight are used;
+    /// [`LatencyBands::edges`] never has more).
+    pub fn count(&mut self, edges: &[f64], latency: f64) {
+        self.n += 1;
+        for (below, &edge) in self.below.iter_mut().zip(edges) {
+            *below += usize::from(latency < edge);
+        }
+    }
+
+    /// Add the counts of another sample folded at the same edges.
+    pub fn merge(&mut self, other: &BandCounts) {
+        self.n += other.n;
+        for (below, theirs) in self.below.iter_mut().zip(other.below) {
+            *below += theirs;
+        }
+    }
+
+    /// Fraction of the counted samples inside `[lo, hi)`, for two of the
+    /// `edges` the counts were folded at: bit for bit the empirical mass
+    /// the sno-stats KDE finds by searching the sorted sample. An empty
+    /// band (`hi <= lo`, or a NaN bound) or a bound that is not one of
+    /// the edges has mass `0.0`.
+    pub fn mass_in(&self, edges: &[f64], lo: f64, hi: f64) -> f64 {
+        if self.n == 0 || lo.partial_cmp(&hi) != Some(Ordering::Less) {
+            return 0.0;
+        }
+        let below = |x: f64| {
+            let i = edges.iter().position(|&e| e == x)?;
+            self.below.get(i).copied()
+        };
+        match (below(lo), below(hi)) {
+            (Some(start), Some(end)) => end.saturating_sub(start) as f64 / self.n as f64,
+            _ => 0.0,
         }
     }
 }
@@ -71,7 +160,7 @@ pub enum AsnVerdict {
     Insufficient,
 }
 
-/// KDE-profile summary for one (operator, ASN).
+/// Latency-profile summary for one (operator, ASN).
 #[derive(Debug, Clone)]
 pub struct AsnProfile {
     pub operator: Operator,
@@ -82,8 +171,6 @@ pub struct AsnProfile {
     pub terrestrial_mass: f64,
     /// Mass inside each expected band of the operator's access kind.
     pub expected_mass: f64,
-    /// Number of KDE modes over the latency grid.
-    pub modes: usize,
     /// The verdict.
     pub verdict: AsnVerdict,
 }
@@ -91,175 +178,106 @@ pub struct AsnProfile {
 /// Minimum tests before a verdict is attempted.
 pub const MIN_TESTS_FOR_VERDICT: usize = 25;
 
+impl AsnProfile {
+    /// The profile of one (operator, ASN) from its sample's counts at
+    /// `bands`' edges: the one constructor every profile comes from.
+    pub fn from_counts(
+        operator: Operator,
+        asn: Asn,
+        counts: &BandCounts,
+        bands: LatencyBands,
+    ) -> AsnProfile {
+        let tests = counts.n;
+        if tests < MIN_TESTS_FOR_VERDICT {
+            return AsnProfile {
+                operator,
+                asn,
+                tests,
+                terrestrial_mass: 0.0,
+                expected_mass: 0.0,
+                verdict: AsnVerdict::Insufficient,
+            };
+        }
+        let edges = bands.edges();
+        let access = access_of(operator);
+        let terrestrial_mass = counts.mass_in(&edges, 0.0, bands.terrestrial_max);
+        let expected_mass: f64 = access
+            .orbits()
+            .iter()
+            .map(|&orbit| {
+                let (lo, hi) = bands.band(orbit);
+                counts.mass_in(&edges, lo, hi)
+            })
+            .sum();
+        let verdict = judge(access, expected_mass, counts, &edges, bands);
+        AsnProfile {
+            operator,
+            asn,
+            tests,
+            terrestrial_mass,
+            expected_mass,
+            verdict,
+        }
+    }
+}
+
 /// Validate every mapped ASN against the latency profile of its records.
 pub fn validate_asns(
     mapping: &AsnMapping,
     records: &[NdtRecord],
     bands: LatencyBands,
 ) -> Vec<AsnProfile> {
-    validate_asns_threaded(mapping, records, bands, 0)
-}
-
-/// [`validate_asns`] with an explicit worker-thread count (`0` = all
-/// cores). Each (operator, ASN) profile is an independent KDE fit, so
-/// the fits fan out across the pool and merge in mapping order — the
-/// output is identical at every thread count.
-pub fn validate_asns_threaded(
-    mapping: &AsnMapping,
-    records: &[NdtRecord],
-    bands: LatencyBands,
-    threads: usize,
-) -> Vec<AsnProfile> {
-    // Bucket latencies per ASN (serial: one pass over the corpus).
-    let mut by_asn: BTreeMap<Asn, Vec<f64>> = BTreeMap::new();
+    let edges = bands.edges();
+    let mut by_asn: BTreeMap<Asn, BandCounts> = BTreeMap::new();
     for rec in records {
-        by_asn.entry(rec.asn).or_default().push(rec.latency_p5.0);
+        by_asn
+            .entry(rec.asn)
+            .or_default()
+            .count(&edges, rec.latency_p5.0);
     }
-    profiles_from_buckets(mapping, &by_asn, bands, threads)
+    profiles_from_counts(mapping, bands, |asn| by_asn.get(&asn))
 }
 
-/// The KDE-fit half of [`validate_asns_threaded`], starting from
-/// already-bucketed per-ASN latency samples (each bucket in record
-/// order). This is the entry point for the streaming pipeline, whose
-/// per-chunk accumulators build the buckets incrementally; the fits fan
-/// out across the pool and merge in mapping order.
-pub fn profiles_from_buckets(
+/// Stage 3: one profile per curated (operator, ASN) pair, in mapping
+/// order, from the counts `counts_of` holds for the ASN (`None`: no
+/// samples). No latency sample is read.
+pub(crate) fn profiles_from_counts<'a>(
     mapping: &AsnMapping,
-    by_asn: &BTreeMap<Asn, Vec<f64>>,
     bands: LatencyBands,
-    threads: usize,
+    counts_of: impl Fn(Asn) -> Option<&'a BandCounts>,
 ) -> Vec<AsnProfile> {
-    let pairs: Vec<(Operator, Asn)> = mapping
+    mapping
         .mapping
         .iter()
         .flat_map(|(&op, asns)| asns.iter().map(move |&asn| (op, asn)))
-        .collect();
-    par::shard_map(pairs.len(), threads, |i| {
-        let (op, asn) = pairs[i];
-        let latencies = by_asn.get(&asn).map(Vec::as_slice).unwrap_or(&[]);
-        profile_one(op, asn, latencies, bands)
-    })
+        .map(|(op, asn)| {
+            let counts = counts_of(asn).copied().unwrap_or_default();
+            AsnProfile::from_counts(op, asn, &counts, bands)
+        })
+        .collect()
 }
 
-/// Validate one ASN's latency sample.
+/// Validate one ASN's latency sample: count it at `bands`' edges and
+/// build the profile from the counts.
 pub fn profile_one(
     operator: Operator,
     asn: Asn,
     latencies: &[f64],
     bands: LatencyBands,
 ) -> AsnProfile {
-    let tests = latencies.len();
-    if tests < MIN_TESTS_FOR_VERDICT {
-        return AsnProfile {
-            operator,
-            asn,
-            tests,
-            terrestrial_mass: 0.0,
-            expected_mass: 0.0,
-            modes: 0,
-            verdict: AsnVerdict::Insufficient,
-        };
-    }
-    // `tests >= MIN_TESTS_FOR_VERDICT > 0`, but an unfittable sample is
-    // an Insufficient verdict, not a panic.
-    let Some(kde) = Kde::fit(latencies) else {
-        return AsnProfile {
-            operator,
-            asn,
-            tests,
-            terrestrial_mass: 0.0,
-            expected_mass: 0.0,
-            modes: 0,
-            verdict: AsnVerdict::Insufficient,
-        };
-    };
-    let access = access_of(operator);
-    let terrestrial_mass = kde.mass_in(0.0, bands.terrestrial_max);
-    let expected_mass: f64 = access
-        .orbits()
-        .iter()
-        .map(|&orbit| {
-            let (lo, hi) = bands.band(orbit);
-            kde.mass_in(lo, hi)
-        })
-        .sum();
-    let modes = kde.modes_on_grid(0.0, 1_200.0, 400, 0.2);
-
-    let verdict = judge(access, expected_mass, |lo, hi| kde.mass_in(lo, hi), bands);
-    AsnProfile {
-        operator,
-        asn,
-        tests,
-        terrestrial_mass,
-        expected_mass,
-        modes,
-        verdict,
-    }
+    let counts = BandCounts::of(&bands.edges(), latencies);
+    AsnProfile::from_counts(operator, asn, &counts, bands)
 }
 
-/// Validate one ASN from its streaming latency sketch instead of a
-/// retained sample buffer — the online service's buffer-free verdict
-/// path. Band masses come from [`QuantileSketch::mass_in`], whose
-/// per-boundary error is one sketch bin (~0.05% relative), so verdicts
-/// agree with [`profile_one`] except for samples landing *exactly* on a
-/// band edge at bin resolution. `modes` is reported as `0`: the sketch
-/// retains no density estimate, and no verdict rule reads the mode
-/// count — it is descriptive output only.
-pub fn profile_from_sketch(
-    operator: Operator,
-    asn: Asn,
-    sketch: &QuantileSketch,
-    bands: LatencyBands,
-) -> AsnProfile {
-    let tests = sketch.count() as usize;
-    if tests < MIN_TESTS_FOR_VERDICT {
-        return AsnProfile {
-            operator,
-            asn,
-            tests,
-            terrestrial_mass: 0.0,
-            expected_mass: 0.0,
-            modes: 0,
-            verdict: AsnVerdict::Insufficient,
-        };
-    }
-    let access = access_of(operator);
-    let terrestrial_mass = sketch.mass_in(0.0, bands.terrestrial_max);
-    let expected_mass: f64 = access
-        .orbits()
-        .iter()
-        .map(|&orbit| {
-            let (lo, hi) = bands.band(orbit);
-            sketch.mass_in(lo, hi)
-        })
-        .sum();
-    let verdict = judge(
-        access,
-        expected_mass,
-        |lo, hi| sketch.mass_in(lo, hi),
-        bands,
-    );
-    AsnProfile {
-        operator,
-        asn,
-        tests,
-        terrestrial_mass,
-        expected_mass,
-        modes: 0,
-        verdict,
-    }
-}
-
-/// The verdict rules, abstracted over the band-mass query so the
-/// KDE-backed ([`profile_one`]) and sketch-backed
-/// ([`profile_from_sketch`]) paths share one rule set: given the same
-/// masses, they return the same verdict by construction.
+/// The verdict rules over one ASN's band counts at `edges`.
 fn judge(
     access: AccessKind,
     expected_mass: f64,
-    mass_in: impl Fn(f64, f64) -> f64,
+    counts: &BandCounts,
+    edges: &[f64],
     bands: LatencyBands,
 ) -> AsnVerdict {
+    let mass_in = |lo, hi| counts.mass_in(edges, lo, hi);
     // A mapping whose traffic is mostly terrestrial is not satellite
     // subscriber traffic at all. The terrestrial cut-off is the lower
     // edge of the operator's lowest expected band (35 ms for LEO — a
@@ -397,86 +415,52 @@ mod tests {
     }
 
     #[test]
-    fn sketch_profiles_agree_with_kde_profiles() {
-        // The sketch-backed path must reproduce the KDE verdicts on
-        // every synthetic profile shape: clean LEO, terrestrial
-        // corporate, unimodal hybrid, genuine hybrid, GEO+terrestrial
-        // mix, and thin samples.
-        let cases: Vec<(Operator, Asn, Vec<f64>)> = vec![
-            (
-                Operator::Starlink,
-                Asn(14593),
-                sample(|r| r.normal_with(56.0, 8.0).max(25.0), 500, 1),
-            ),
-            (
-                Operator::Starlink,
-                Asn(27277),
-                sample(|r| r.normal_with(18.0, 5.0).max(3.0), 300, 2),
-            ),
-            (
-                Operator::Ses,
-                Asn(201554),
-                sample(|r| r.normal_with(650.0, 40.0), 300, 4),
-            ),
-            (
-                Operator::Ses,
-                Asn(12684),
-                sample(
-                    |r| {
-                        if r.chance(0.45) {
-                            r.normal_with(280.0, 30.0)
-                        } else {
-                            r.normal_with(680.0, 50.0)
-                        }
-                    },
-                    600,
-                    5,
-                ),
-            ),
-            (
-                Operator::Telalaska,
-                Asn(10538),
-                sample(
-                    |r| {
-                        if r.chance(0.35) {
-                            r.normal_with(30.0, 8.0).max(5.0)
-                        } else {
-                            r.normal_with(680.0, 50.0)
-                        }
-                    },
-                    600,
-                    6,
-                ),
-            ),
-            (Operator::Kacific, Asn(135409), vec![600.0; 10]),
-        ];
-        for (op, asn, latencies) in cases {
-            let kde = profile_one(op, asn, &latencies, bands());
-            let mut sketch = sno_stats::QuantileSketch::new();
-            sketch.extend(latencies.iter().copied());
-            let sk = profile_from_sketch(op, asn, &sketch, bands());
-            assert_eq!(sk.tests, kde.tests, "{op:?}/{asn:?}");
-            assert_eq!(
-                std::mem::discriminant(&sk.verdict),
-                std::mem::discriminant(&kde.verdict),
-                "{op:?}/{asn:?}: sketch {:?} vs kde {:?}",
-                sk.verdict,
-                kde.verdict
-            );
-            // Band masses agree to sketch-bin resolution.
-            assert!(
-                (sk.expected_mass - kde.expected_mass).abs() < 0.01,
-                "{op:?}/{asn:?}: expected mass {} vs {}",
-                sk.expected_mass,
-                kde.expected_mass
-            );
-            assert!(
-                (sk.terrestrial_mass - kde.terrestrial_mass).abs() < 0.01,
-                "{op:?}/{asn:?}: terrestrial mass {} vs {}",
-                sk.terrestrial_mass,
-                kde.terrestrial_mass
-            );
-        }
+    fn default_bands_have_seven_edges() {
+        assert_eq!(
+            bands().edges(),
+            [0.0, 35.0, 100.0, 150.0, 300.0, 450.0, 1_200.0]
+        );
+        // NaN bounds drop out; a signed zero is the zero edge.
+        let odd = LatencyBands {
+            terrestrial_max: f64::NAN,
+            leo: (-0.0, 300.0),
+            ..bands()
+        };
+        assert_eq!(odd.edges(), [0.0, 150.0, 300.0, 450.0, 1_200.0]);
+    }
+
+    #[test]
+    fn counts_merge_to_the_counts_of_the_union() {
+        let edges = bands().edges();
+        let lat = sample(|r| r.range_f64(-10.0, 1_300.0), 400, 7);
+        let (head, tail) = lat.split_at(123);
+        let mut merged = BandCounts::of(&edges, head);
+        merged.merge(&BandCounts::of(&edges, tail));
+        assert_eq!(merged, BandCounts::of(&edges, &lat));
+        assert_eq!(merged.n(), lat.len());
+        // Empty and NaN-bounded bands, and bounds that are not edges.
+        assert_eq!(merged.mass_in(&edges, 450.0, 450.0), 0.0);
+        assert_eq!(merged.mass_in(&edges, 1_200.0, 450.0), 0.0);
+        assert_eq!(merged.mass_in(&edges, f64::NAN, 450.0), 0.0);
+        assert_eq!(merged.mass_in(&edges, 0.0, 451.0), 0.0);
+        assert_eq!(BandCounts::default().mass_in(&edges, 0.0, 100.0), 0.0);
+    }
+
+    #[test]
+    fn sign_bit_nan_latencies_fall_in_no_band() {
+        // 30 terrestrial, 70 GEO and 40 negative NaNs: every NaN counts
+        // as a test but sits in no band, so a GEO ASN reads 30/140
+        // terrestrial and 70/140 expected mass.
+        let lat: Vec<f64> = [(50.0, 30), (600.0, 70), (-f64::NAN, 40)]
+            .iter()
+            .flat_map(|&(ms, n)| std::iter::repeat_n(ms, n))
+            .collect();
+        assert!(lat.iter().any(|l| l.is_nan() && l.is_sign_negative()));
+        let p = profile_one(Operator::Viasat, Asn(13955), &lat, bands());
+        assert_eq!(p.tests, 140);
+        assert_eq!(p.terrestrial_mass, 30.0 / 140.0);
+        assert_eq!(p.expected_mass, 70.0 / 140.0);
+        assert_eq!(p.verdict, AsnVerdict::MixedWithinAsn(0.5));
     }
 
     #[test]

@@ -259,7 +259,7 @@ pub fn allocation_for(op: Operator) -> Vec<(Asn, Vec<PrefixSpec>)> {
                 spec(default_prefix(kh, 4), GEO_SAT, 0.18, SOUTH_AMERICA, 900.0),
             ];
             // AS201554: expected MEO+GEO, actually corporate lines — the
-            // Figure 2 anomaly the KDE stage must reject.
+            // Figure 2 anomaly stage 3 must reject.
             let anomaly = Asn(201554);
             let ka = asn_position(anomaly);
             let anomaly_specs = vec![

@@ -203,21 +203,31 @@ impl Kde {
             .map_or(lo, |(x, _)| x)
     }
 
-    /// Fraction of the *sample* falling inside `[lo, hi)`.
+    /// Fraction of the *sample* falling inside `[lo, hi)`: the count of
+    /// samples `s` with `lo <= s < hi`, over all samples.
     ///
-    /// The identification pipeline reasons about mass in latency bands
-    /// (e.g. "is there non-trivial mass below 100 ms for a GEO ASN?");
-    /// using the empirical mass rather than integrating the smoothed
-    /// density keeps band edges crisp. An empty band — `hi <= lo`, or a
-    /// NaN bound — has mass `0.0`, as in
+    /// Band masses are empirical, not integrals of the smoothed
+    /// density, so band edges stay crisp; the identification pipeline
+    /// decides on the same counts, folded per ASN, without fitting a
+    /// KDE. A NaN sample, of either sign, falls in no band but counts in
+    /// the total. An empty band — `hi <= lo`, or a NaN bound — has mass
+    /// `0.0`, as in
     /// [`QuantileSketch::mass_in`](crate::QuantileSketch::mass_in).
     pub fn mass_in(&self, lo: f64, hi: f64) -> f64 {
         // `partial_cmp` so a NaN bound (incomparable) also yields 0.0.
         if self.samples.is_empty() || lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
             return 0.0;
         }
-        let start = self.samples.partition_point(|&s| s < lo);
-        let end = self.samples.partition_point(|&s| s < hi);
+        // `total_cmp` order puts sign-bit NaNs first, where `s < x` is
+        // false ahead of the samples it holds for; skip them so the
+        // predicate partitions what is left. Positive NaNs sort last,
+        // where it is false anyway.
+        let lead = self
+            .samples
+            .partition_point(|s| s.is_nan() && s.is_sign_negative());
+        let ordered = self.samples.get(lead..).unwrap_or_default();
+        let start = ordered.partition_point(|&s| s < lo);
+        let end = ordered.partition_point(|&s| s < hi);
         (end - start) as f64 / self.samples.len() as f64
     }
 
@@ -744,15 +754,29 @@ mod tests {
     }
 
     #[test]
+    fn mass_in_skips_nans_of_either_sign() {
+        // Sign-bit NaNs sort first, ahead of the samples below 100 ms,
+        // where a band search over the whole sample would miss those.
+        let mut samples = vec![50.0; 30];
+        samples.extend([600.0; 70]);
+        samples.extend([-f64::NAN; 20]);
+        samples.extend([f64::NAN; 20]);
+        let kde = Kde::fit_with_bandwidth(&samples, 10.0).unwrap();
+        assert_eq!(kde.mass_in(0.0, 100.0), 30.0 / 140.0);
+        assert_eq!(kde.mass_in(450.0, 1200.0), 70.0 / 140.0);
+        assert_eq!(kde.mass_in(f64::NEG_INFINITY, f64::INFINITY), 100.0 / 140.0);
+    }
+
+    #[test]
     fn mass_in_bands() {
         let samples = [10.0, 20.0, 30.0, 600.0, 610.0];
         let kde = Kde::fit(&samples).unwrap();
         assert!((kde.mass_in(0.0, 100.0) - 0.6).abs() < 1e-12);
         assert!((kde.mass_in(500.0, 700.0) - 0.4).abs() < 1e-12);
         assert_eq!(kde.mass_in(1000.0, 2000.0), 0.0);
-        // A reversed or NaN band is empty, as it is for the sketch that
-        // `validate::judge` uses interchangeably: a sample between the
-        // reversed bounds used to underflow `end - start`.
+        // A reversed or NaN band is empty, as it is for the sketch: a
+        // sample between the reversed bounds used to underflow
+        // `end - start`.
         let kde = Kde::fit(&[10.0, 20.0, 30.0, 60.0, 70.0]).unwrap();
         let mut sketch = crate::QuantileSketch::new();
         sketch.extend([10.0, 20.0, 30.0, 60.0, 70.0]);

@@ -175,6 +175,25 @@ proptest! {
         );
     }
 
+    /// `Kde::mass_in` is the brute-force count of samples in `[lo, hi)`
+    /// over all samples, bit for bit, whatever the sample holds: NaN of
+    /// either sign, infinities, signed zeros and values exactly on the
+    /// bounds.
+    #[test]
+    fn kde_mass_in_counts_samples_in_the_band(
+        picks in prop::collection::vec((0..2 * EDGY.len(), -50.0..1300.0f64), 1..150),
+        lo in (0..2 * EDGY.len(), -50.0..1300.0f64),
+        hi in (0..2 * EDGY.len(), -50.0..1300.0f64),
+    ) {
+        let edgy = |(i, x): (usize, f64)| EDGY.get(i).copied().unwrap_or(x);
+        let data: Vec<f64> = picks.into_iter().map(edgy).collect();
+        let (lo, hi) = (edgy(lo), edgy(hi));
+        let inside = data.iter().filter(|&&s| lo <= s && s < hi).count();
+        let want = if lo < hi { inside as f64 / data.len() as f64 } else { 0.0 };
+        let got = Kde::fit(&data).unwrap().mass_in(lo, hi);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "[{lo}, {hi}) over {data:?}");
+    }
+
     /// FiveNumber scales linearly under positive scaling.
     #[test]
     fn five_number_scale_equivariant(
@@ -190,3 +209,22 @@ proptest! {
         prop_assert!((s.iqr() - base.iqr() * k).abs() < 1e-6);
     }
 }
+
+/// Values on the edge of a band search: both zeros, both infinities, NaN
+/// of either sign (`total_cmp` sorts a sign-bit NaN first), and the
+/// default latency-band edges in ms.
+const EDGY: [f64; 13] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    35.0,
+    100.0,
+    150.0,
+    300.0,
+    450.0,
+    1200.0,
+    -1.0,
+];

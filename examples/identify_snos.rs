@@ -30,8 +30,9 @@ fn main() {
         println!("  {asn}: {why}");
     }
 
-    // Stage 3: KDE validation against the advertised technology.
-    println!("\n== stage 3: KDE latency-profile validation ==");
+    // Stage 3: latency-profile validation against the advertised
+    // technology, on the band masses of each ASN's sample.
+    println!("\n== stage 3: latency-profile validation ==");
     let profiles = validate_asns(&mapping, &corpus.records, LatencyBands::default());
     for p in &profiles {
         match &p.verdict {

@@ -476,3 +476,146 @@ fn kde_modes_match_whole_grid_count_on_capped_corpus_buckets() {
     assert!(buckets.len() > 20, "{} buckets", buckets.len());
     assert!(widest > 13.0, "widest bandwidth {widest} ms");
 }
+
+/// Curated ASNs of every access kind (Starlink LEO, Viasat GEO, the SES
+/// MEO+GEO hybrid, O3b MEO, TelAlaska GEO) plus an unmapped one.
+const COUNTED_ASNS: [u32; 6] = [14593, 13955, 12684, 60725, 10538, 398101];
+
+/// Latencies on every default band edge, both infinities, a negative
+/// zero and a positive NaN: where counting below an edge and searching
+/// a sorted sample could part.
+const EDGE_LATENCIES: [f64; 11] = [
+    0.0,
+    35.0,
+    100.0,
+    150.0,
+    300.0,
+    450.0,
+    1200.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -0.0,
+    f64::NAN,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The band-count contract stage 3 decides on. Counts folded by
+    /// `observe_batch` over random chunks, merged within random shards
+    /// and then in shard order, equal the row `observe` fold.
+    /// `run_streamed`'s profiles, built from such counts, equal
+    /// `profile_one` over each bucket. And every band mass equals the
+    /// sorted-sample search of the KDE path the counts replace,
+    /// `Kde::fit(bucket).mass_in(lo, hi)`, bit for bit.
+    #[test]
+    fn band_counts_fold_merge_and_reproduce_the_kde_masses(
+        picks in prop::collection::vec(
+            (0..COUNTED_ASNS.len(), 0..2 * EDGE_LATENCIES.len(), -20.0..1300.0f64),
+            0..400,
+        ),
+        cuts in prop::collection::vec(0..400usize, 0..8),
+        shards in 1..4usize,
+        chunk in 1..100usize,
+        threads in 1..3usize,
+    ) {
+        use sno_dissect::core::validate::{profile_one, BandCounts, LatencyBands};
+        use sno_dissect::core::{map_asns, AsnOps, CorpusStats, Pipeline, StreamOptions};
+        use sno_dissect::registry::sources::access_of;
+        use sno_dissect::types::chunk::slice_chunks;
+        use sno_dissect::types::records::NdtRecord;
+        use sno_dissect::types::{Mbps, Millis, RecordBatch, Timestamp};
+
+        let records: Vec<NdtRecord> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, l, x))| NdtRecord {
+                timestamp: Timestamp(i as u64),
+                client: Ipv4::new(10, 0, (i % 7) as u8, 1),
+                asn: Asn(COUNTED_ASNS[a]),
+                latency_p5: Millis(EDGE_LATENCIES.get(l).copied().unwrap_or(x)),
+                jitter_p95: Millis(10.0),
+                retrans_fraction: 0.01,
+                download: Mbps(50.0),
+            })
+            .collect();
+        let mapping = map_asns();
+        let index = AsnOps::new(&mapping);
+        let mut row = CorpusStats::new();
+        for rec in &records {
+            row.observe(&mapping, rec);
+        }
+
+        // Chunks at the cut points, consecutive runs of chunks per shard.
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(records.len())).collect();
+        bounds.extend([0, records.len()]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let batch = RecordBatch::from_records(&records);
+        let partials: Vec<CorpusStats> = bounds
+            .windows(2)
+            .map(|w| {
+                let mut part = CorpusStats::new();
+                part.observe_batch(&index, &batch, w[0]..w[1]);
+                part
+            })
+            .collect();
+        let per_shard = partials.len().div_ceil(shards).max(1);
+        let folded = partials
+            .chunks(per_shard)
+            .map(|shard| {
+                shard
+                    .iter()
+                    .cloned()
+                    .fold(CorpusStats::new(), CorpusStats::merge)
+            })
+            .fold(CorpusStats::new(), CorpusStats::merge);
+        prop_assert_eq!(&folded.band_counts, &row.band_counts);
+        prop_assert_eq!(&folded.slots, &row.slots);
+
+        let bands = LatencyBands::default();
+        let edges = bands.edges();
+        let report = Pipeline::with_threads(threads)
+            .run_streamed(|| slice_chunks(&records, chunk), StreamOptions::default());
+        for p in &report.profiles {
+            let bucket = row.by_asn.get(&p.asn).map_or(&[][..], Vec::as_slice);
+            let one = profile_one(p.operator, p.asn, bucket, bands);
+            prop_assert_eq!(format!("{p:?}"), format!("{one:?}"));
+            let counts = row
+                .band_counts
+                .get(usize::from(index.slot(p.asn)))
+                .copied()
+                .unwrap_or_default();
+            prop_assert_eq!(counts, BandCounts::of(&edges, bucket));
+            let Some(kde) = Kde::fit(bucket) else {
+                prop_assert_eq!(p.tests, 0);
+                continue;
+            };
+            for &lo in &edges {
+                for &hi in &edges {
+                    prop_assert_eq!(
+                        counts.mass_in(&edges, lo, hi).to_bits(),
+                        kde.mass_in(lo, hi).to_bits(),
+                        "AS{} [{lo}, {hi})",
+                        p.asn.0
+                    );
+                }
+            }
+            if p.tests >= sno_dissect::core::validate::MIN_TESTS_FOR_VERDICT {
+                let expected: f64 = access_of(p.operator)
+                    .orbits()
+                    .iter()
+                    .map(|&orbit| {
+                        let (lo, hi) = bands.band(orbit);
+                        kde.mass_in(lo, hi)
+                    })
+                    .sum();
+                prop_assert_eq!(
+                    p.terrestrial_mass.to_bits(),
+                    kde.mass_in(0.0, bands.terrestrial_max).to_bits()
+                );
+                prop_assert_eq!(p.expected_mass.to_bits(), expected.to_bits());
+            }
+        }
+    }
+}
