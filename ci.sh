@@ -122,19 +122,23 @@ run repro-golden repro_golden
 # report must match a reference identification, and a traced run also
 # re-derives run_streamed's report through the public functions the
 # benchmark splits it into, so API drift or a decomposition mismatch
-# that would break the benchmark fails here. The benchmark exits 0 either
-# way; the gate reads its JSON result line (the last line of stdout) and
-# fails unless it says "correct": true and "failed": 0.
+# that would break the benchmark fails here. One more 1 s `batch` run
+# with tracing off covers the mode the benchmark's gate measures:
+# calibration, the RSS reset and every end-to-end metric. The benchmark
+# exits 0 either way; the gate reads each run's JSON result line (the
+# last line of stdout) and fails unless it says "correct": true and
+# "failed": 0.
 snobench_gate() {
-    local manifest=benches/snobench/Cargo.toml workload out last
+    local manifest=benches/snobench/Cargo.toml run workload seconds trace out last
     cargo build --release --offline --quiet --manifest-path "$manifest"
-    for workload in batch online-feed online-poll; do
+    for run in batch:2:1 online-feed:2:1 online-poll:2:1 batch:1:0; do
+        IFS=: read -r workload seconds trace <<<"$run"
         out=$(cargo run --release --offline --quiet --manifest-path "$manifest" -- \
-            --workload "$workload" --seed 1 --seconds 2 --trace 1)
+            --workload "$workload" --seed 1 --seconds "$seconds" --trace "$trace")
         echo "$out"
         last=$(tail -n 1 <<<"$out")
         if ! grep -Eq '^\{"correct": true, "attempted": [1-9][0-9]*, "failed": 0, ' <<<"$last"; then
-            echo "snobench ${workload}: the result line does not report a correct run with no failed ops" >&2
+            echo "snobench ${workload} (--trace ${trace}): the result line does not report a correct run with no failed ops" >&2
             return 1
         fi
     done

@@ -7,11 +7,11 @@
 //! of the ASN alone — only the final latency comparison needs the
 //! record. This module folds the per-ASN work into sorted lookup
 //! tables built once per pipeline run. The statistics fold resolves
-//! each record's ASN to its [`Slot`] once (a binary search over ~67
-//! ASNs); the accept decision is then an array lookup by slot plus one
-//! comparison, with decisions *identical* to the row-at-a-time
-//! reference (`row_accept`, kept in this module's tests as the oracle
-//! the table is checked against).
+//! each run of records from one ASN to its [`Slot`] once (a binary
+//! search over ~67 ASNs); the accept decision is then an array lookup
+//! by slot plus one comparison, with decisions *identical* to the
+//! row-at-a-time reference (`row_accept`, kept in this module's tests
+//! as the oracle the table is checked against).
 
 use crate::asn_map::AsnMapping;
 use crate::prefix_filter::MEO_FLOOR_MS;

@@ -21,13 +21,13 @@
 //!    527 ms default);
 //! 4. [`stream`] — [`Pipeline::run_streamed`], the one function that
 //!    runs the identification: one pass over a chunked record stream in
-//!    bounded memory (per-chunk columnar accumulators over
-//!    struct-of-arrays [`sno_types::RecordBatch`]es, which also keep
-//!    each ASN's band counts and each record's ASN slot), then stages
-//!    3–3c and an accept replay of that slot column through the
-//!    per-ASN decision tables of [`accept`], producing the SNO catalog
-//!    (Table 1), a compact acceptance bitmap and the one report type,
-//!    [`StreamedReport`];
+//!    bounded memory (per-chunk accumulators that fold each decoded
+//!    chunk's rows one ASN run at a time, with no columnar copy, and
+//!    also keep each ASN's band counts and each record's ASN slot),
+//!    then stages 3–3c and an accept replay of that slot column through
+//!    the per-ASN decision tables of [`accept`], producing the SNO
+//!    catalog (Table 1), a compact acceptance bitmap and the one report
+//!    type, [`StreamedReport`];
 //! 5. [`pipeline`] — the configured [`Pipeline`], the stage 3–3c
 //!    derivation (plus its incremental cache), and [`Pipeline::run`]:
 //!    `run_streamed` over an in-memory slice with the dense per-record

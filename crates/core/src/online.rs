@@ -7,13 +7,13 @@
 //! in arrival-time order and must answer "who are the SNOs right now?"
 //! at any point. The [`OnlineIdentifier`] supports exactly that:
 //!
-//! * **Ingest** — each arriving chunk is columnarized and folded into the
-//!   same [`CorpusStats`] accumulator the streamed pipeline uses (per-ASN
-//!   band counts for stage 3, per-ASN latency buckets and one 2-byte ASN
-//!   slot per record for the accept replay, per-`(operator, /24)`
-//!   buckets for the strict filter), and tracked in per-operator latency
-//!   sketches and `(timestamp, latency)` buckets for the PoP-change
-//!   flags. A NaN
+//! * **Ingest** — each arriving chunk's rows go through the same fold,
+//!   into the same [`CorpusStats`] accumulator, as the streamed
+//!   pipeline's statistics pass (per-ASN band counts for stage 3,
+//!   per-ASN latency buckets and one 2-byte ASN slot per record for the
+//!   accept replay, per-`(operator, /24)` buckets for the strict
+//!   filter), and tracked in per-operator latency sketches and
+//!   `(timestamp, latency)` buckets for the PoP-change flags. A NaN
 //!   latency stays in the statistics, which decide it as the batch
 //!   pipeline does, but out of the sketches and the PoP-flag series.
 //!   Every ingest step is O(chunk), never O(corpus).
@@ -66,7 +66,7 @@ use crate::stream::{CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN
 use sno_stats::{daily_medians, OnlineShiftDetector, QuantileSketch, Shift};
 use sno_types::chunk::{slice_chunks, RecordChunks};
 use sno_types::records::NdtRecord;
-use sno_types::{codec, Operator, RecordBatch, Timestamp, UtcDay};
+use sno_types::{codec, Operator, Timestamp, UtcDay};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -175,17 +175,15 @@ impl OnlineIdentifier {
     }
 
     /// Ingest one chunk of records in arrival order.
-    // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
+    // sno-lint: allow(panic-reachable): the row fold and the sketch and PoP-flag stores reach one real site, the ASN index lookup (a binary-search hit indexes the parallel operator column); the others are the same-named `get`, `push` and `prefix24` of AcceptBitmap and RecordBatch, which the name-based call graph links but ingest never calls
     pub fn ingest(&mut self, records: &[NdtRecord]) {
-        let batch = RecordBatch::from_records(records);
         // An unwindowed identifier decides from the cumulative
         // statistics. A windowed one re-derives every snapshot from its
         // retained log instead and skips the statistics, which would
         // otherwise grow with the whole stream and defeat the window's
         // memory bound.
         if self.window_secs.is_none() {
-            self.stats
-                .observe_batch(&self.index, &batch, 0..batch.len());
+            self.stats.observe_records(&self.index, records);
             self.stats_rev += 1;
         } else {
             self.log.extend_records(records);
@@ -193,9 +191,8 @@ impl OnlineIdentifier {
         self.ingested += records.len();
         // Newest timestamp, per-operator PoP-flag samples and latency
         // sketches.
-        let timestamps = batch.timestamps();
-        let latencies = batch.latency_p5();
-        for ((&ts, &asn), &lat) in timestamps.iter().zip(batch.asns()).zip(latencies) {
+        for rec in records {
+            let (ts, lat) = (rec.timestamp, rec.latency_p5.0);
             if self.latest.is_none_or(|t| ts > t) {
                 self.latest = Some(ts);
             }
@@ -204,7 +201,7 @@ impl OnlineIdentifier {
             if lat.is_nan() {
                 continue;
             }
-            if let Some(op) = self.index.get(asn) {
+            if let Some(op) = self.index.get(rec.asn) {
                 self.by_operator.entry(op).or_default().push((ts, lat));
                 self.sketches.entry(op).or_default().push(lat);
             }

@@ -8,11 +8,16 @@
 //! online snapshot streams its in-window records, a caller holding an
 //! encoded corpus streams its [`sno_types::codec`] frames):
 //!
-//! 1. **Statistics pass** — every chunk is columnarized into a
-//!    [`RecordBatch`] and folded into a [`CorpusStats`] accumulator
-//!    (per-ASN latency samples, per-slot [`BandCounts`] for stage 3,
-//!    per-`(operator, /24)` samples for the strict filter, and each
-//!    record's ASN [`Slot`]). Accumulators merge in chunk order, so
+//! 1. **Statistics pass** — every decoded chunk's rows are folded into
+//!    a [`CorpusStats`] accumulator (per-ASN latency samples, per-slot
+//!    [`BandCounts`] for stage 3, per-`(operator, /24)` samples for the
+//!    strict filter, and each record's ASN [`Slot`]). The fold reads
+//!    three fields of each row where they lie: copying each chunk into
+//!    seven [`RecordBatch`] columns to read three of them once only
+//!    added work. It takes a run of equal ASNs at a time: one slot
+//!    lookup and one bucket lookup per run, not per record, then the
+//!    run's latencies appended and counted per band edge (DESIGN §3
+//!    has the measured costs). Accumulators merge in chunk order, so
 //!    every bucket and the slot column hold their entries in record
 //!    order — byte-identical to a serial row-at-a-time fold — and the
 //!    integer counts add up exactly.
@@ -40,7 +45,7 @@ use crate::prefix_filter::StrictOutcome;
 use crate::validate::{AsnProfile, BandCounts, LatencyBands};
 use sno_types::chunk::{self, RecordChunks};
 use sno_types::records::NdtRecord;
-use sno_types::{Asn, Operator, OrbitClass, Prefix24, RecordBatch};
+use sno_types::{Asn, Ipv4, Operator, OrbitClass, Prefix24, RecordBatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -74,12 +79,12 @@ impl CorpusStats {
         CorpusStats::default()
     }
 
-    /// Fold one record in: the row-at-a-time reference
-    /// [`CorpusStats::observe_batch`] is checked against. The slot is
-    /// derived from the mapping here, not from [`AsnOps`]: the number
-    /// of distinct curated ASNs below the record's. Latencies are
-    /// counted at the default [`LatencyBands`], as [`AsnOps::new`]
-    /// counts them.
+    /// Fold one record in: the row-at-a-time reference the run fold
+    /// (behind [`CorpusStats::observe_batch`] and pass 1) is checked
+    /// against. The slot is derived from the mapping here, not from
+    /// [`AsnOps`]: the number of distinct curated ASNs below the
+    /// record's. Latencies are counted at the default [`LatencyBands`],
+    /// as [`AsnOps::new`] counts them.
     pub fn observe(&mut self, mapping: &AsnMapping, rec: &NdtRecord) {
         self.records += 1;
         self.by_asn
@@ -93,7 +98,9 @@ impl CorpusStats {
         let curated: BTreeSet<Asn> = mapping.mapping.values().flatten().copied().collect();
         let slot = Slot::try_from(curated.range(..rec.asn).count()).unwrap_or(UNMAPPED);
         self.slots.push(slot);
-        self.count_band(slot, &LatencyBands::default().edges(), rec.latency_p5.0);
+        if let Some(counts) = slot_counts(&mut self.band_counts, slot) {
+            counts.count(&LatencyBands::default().edges(), rec.latency_p5.0);
+        }
         let access = sno_registry::sources::access_of(op);
         if access.includes(OrbitClass::Leo) {
             return; // LEO is identified at ASN level
@@ -127,44 +134,83 @@ impl CorpusStats {
         self
     }
 
-    /// Fold a range of batch rows in, column-wise. Buckets, slots and
-    /// counts come out identical to row-at-a-time
+    /// Fold a range of batch rows in: its ASN, latency and client
+    /// columns go through the same row fold as a decoded chunk, so
+    /// buckets, slots and counts come out identical to row-at-a-time
     /// [`CorpusStats::observe`] calls over the same rows (at the
-    /// index's band edges); each record's ASN is resolved to its slot
-    /// once, through the prebuilt sorted [`AsnOps`] index instead of a
-    /// linear scan per record.
+    /// index's band edges).
     pub fn observe_batch(&mut self, index: &AsnOps, batch: &RecordBatch, range: Range<usize>) {
         let asns = &batch.asns()[range.clone()];
         let latencies = &batch.latency_p5()[range.clone()];
         let clients = &batch.clients()[range];
-        self.records += asns.len();
-        self.slots.reserve(asns.len());
+        let rows = asns.iter().zip(latencies).zip(clients);
+        self.fold(
+            index,
+            rows.map(|((&asn, &lat), &client)| (asn, lat, client)),
+        );
+    }
+
+    /// Fold a decoded chunk in, row by row: pass 1 of
+    /// [`Pipeline::run_streamed`] and online ingest.
+    pub(crate) fn observe_records(&mut self, index: &AsnOps, records: &[NdtRecord]) {
+        self.fold(
+            index,
+            records
+                .iter()
+                .map(|rec| (rec.asn, rec.latency_p5.0, rec.client)),
+        );
+    }
+
+    /// The one fold body over `(ASN, p5 latency, client)` rows in record
+    /// order. Consecutive rows of one ASN form a run: its slot and its
+    /// `by_asn` bucket are looked up once, its latencies appended, and
+    /// its band counts added from the bucket's new tail with one
+    /// counting loop per edge. A non-LEO row also goes to its
+    /// `(operator, /24)` bucket as it passes.
+    fn fold(&mut self, index: &AsnOps, rows: impl ExactSizeIterator<Item = (Asn, f64, Ipv4)>) {
+        self.records += rows.len();
+        self.slots.reserve(rows.len());
         let edges = index.edges();
-        for ((&asn, &lat), client) in asns.iter().zip(latencies).zip(clients) {
-            self.by_asn.entry(asn).or_default().push(lat);
+        let mut rows = rows.peekable();
+        while let Some((asn, lat, client)) = rows.next() {
             let slot = index.slot(asn);
-            self.slots.push(slot);
-            self.count_band(slot, edges, lat);
-            if let Some(op) = index.prefix_op(slot) {
-                self.by_prefix
-                    .entry((op, client.prefix24()))
-                    .or_default()
-                    .push((asn, lat));
+            let prefix_op = index.prefix_op(slot);
+            let bucket = self.by_asn.entry(asn).or_default();
+            let start = bucket.len();
+            let mut row = Some((lat, client));
+            while let Some((lat, client)) = row {
+                bucket.push(lat);
+                if let Some(op) = prefix_op {
+                    self.by_prefix
+                        .entry((op, client.prefix24()))
+                        .or_default()
+                        .push((asn, lat));
+                }
+                row = rows
+                    .next_if(|&(next, ..)| next == asn)
+                    .map(|(_, lat, client)| (lat, client));
+            }
+            // The run ends here: its slots and band counts.
+            let run = bucket.get(start..).unwrap_or_default();
+            self.slots.resize(self.slots.len() + run.len(), slot);
+            if let Some(counts) = slot_counts(&mut self.band_counts, slot) {
+                counts.count_all(edges, run);
             }
         }
     }
+}
 
-    /// Count one latency on its slot's band counts, growing the column
-    /// to the slot; an unmapped record is counted nowhere.
-    fn count_band(&mut self, slot: Slot, edges: &[f64], latency: f64) {
-        let i = usize::from(slot);
-        if slot != UNMAPPED && self.band_counts.len() <= i {
-            self.band_counts.resize(i + 1, BandCounts::default());
-        }
-        if let Some(counts) = self.band_counts.get_mut(i) {
-            counts.count(edges, latency);
-        }
+/// A slot's band counts, growing the column to the slot; `None` for
+/// [`UNMAPPED`], which is counted nowhere.
+fn slot_counts(band_counts: &mut Vec<BandCounts>, slot: Slot) -> Option<&mut BandCounts> {
+    if slot == UNMAPPED {
+        return None;
     }
+    let i = usize::from(slot);
+    if band_counts.len() <= i {
+        band_counts.resize(i + 1, BandCounts::default());
+    }
+    band_counts.get_mut(i)
 }
 
 /// What the accept replay should keep beyond the catalog.
@@ -319,21 +365,19 @@ impl Pipeline {
         let mapping = map_asns();
         let index = AsnOps::with_bands(&mapping, self.bands);
 
-        // Pass 1: columnarize each chunk and fold it into the
-        // statistics accumulator. Chunks are mapped to per-chunk
-        // partials on the worker pool and merged in chunk order on this
-        // thread, so every bucket and the slot column hold their
-        // entries in record order — byte-identical to the serial fold
-        // at any thread count.
+        // Pass 1: fold each decoded chunk's rows into a statistics
+        // partial. Chunks are mapped to partials on the worker pool and
+        // merged in chunk order on this thread, so every bucket and the
+        // slot column hold their entries in record order —
+        // byte-identical to the serial fold at any thread count.
         let mut progress = Progress::new(opts.progress_every);
         let stats = chunk::par_fold_chunks(
             source(),
             self.threads,
             CorpusStats::new(),
             |chunk| {
-                let batch = RecordBatch::from_records(chunk);
                 let mut part = CorpusStats::new();
-                part.observe_batch(&index, &batch, 0..batch.len());
+                part.observe_records(&index, chunk);
                 part
             },
             |stats, part| {
@@ -409,6 +453,7 @@ mod tests {
     use super::*;
     use sno_synth::{MlabGenerator, SynthConfig};
     use sno_types::chunk::slice_chunks;
+    use sno_types::Millis;
 
     fn small_config() -> SynthConfig {
         SynthConfig {
@@ -416,6 +461,30 @@ mod tests {
             min_sessions: 40,
             ..SynthConfig::test_corpus()
         }
+    }
+
+    /// The `by_asn` and `by_prefix` samples as bit patterns, so NaNs
+    /// compare.
+    type SampleBits = (
+        BTreeMap<Asn, Vec<u64>>,
+        BTreeMap<(Operator, Prefix24), Vec<(Asn, u64)>>,
+    );
+
+    fn sample_bits(stats: &CorpusStats) -> SampleBits {
+        let by_asn = stats
+            .by_asn
+            .iter()
+            .map(|(&asn, lats)| (asn, lats.iter().map(|l| l.to_bits()).collect()))
+            .collect();
+        let by_prefix = stats
+            .by_prefix
+            .iter()
+            .map(|(&key, samples)| {
+                let bits = samples.iter().map(|&(asn, l)| (asn, l.to_bits()));
+                (key, bits.collect())
+            })
+            .collect();
+        (by_asn, by_prefix)
     }
 
     #[test]
@@ -435,15 +504,41 @@ mod tests {
     }
 
     #[test]
-    fn corpus_stats_batch_fold_matches_row_observe() {
-        // Column-wise partials over consecutive row ranges, merged in
-        // range order (the pass-1 shape), land on the row fold's
-        // buckets, slots and band counts at every split. The generator
-        // only emits curated ASNs, so a few records move to an unmapped
-        // one.
+    fn corpus_stats_folds_match_row_observe() {
+        // Partials over consecutive chunks, merged in chunk order (the
+        // pass-1 shape), and chunks folded into one accumulator (the
+        // online ingest shape) land on the row-at-a-time reference's
+        // buckets, slots and band counts at every split, whether the
+        // rows come from decoded records or from batch columns. The
+        // generator only emits curated ASNs, so a few records move to
+        // an unmapped one, and none has a NaN latency, so a few get one
+        // of either sign. A hand-built tail splits one mapped ASN's
+        // runs by an unmapped ASN and then by another mapped ASN
+        // (A-B-A), with NaNs inside the runs.
         let mut records = MlabGenerator::new(small_config()).generate().records;
         for rec in records.iter_mut().step_by(97) {
             rec.asn = Asn(398101);
+        }
+        for (i, rec) in records.iter_mut().enumerate().skip(5).step_by(89) {
+            let nan = if i % 2 == 0 { f64::NAN } else { -f64::NAN };
+            rec.latency_p5 = Millis(nan);
+        }
+        let template = records.first().cloned().expect("a generated record");
+        let tail = [
+            (28613, 600.0),
+            (28613, f64::NAN),
+            (398101, 40.0),
+            (28613, -f64::NAN),
+            (28613, 35.0),
+            (13955, -f64::NAN),
+            (28613, 1200.0),
+        ];
+        for (asn, latency) in tail {
+            records.push(NdtRecord {
+                asn: Asn(asn),
+                latency_p5: Millis(latency),
+                ..template.clone()
+            });
         }
         let mapping = map_asns();
         let mut serial = CorpusStats::new();
@@ -452,18 +547,26 @@ mod tests {
         }
         let index = AsnOps::new(&mapping);
         let batch = RecordBatch::from_records(&records);
-        for step in [1usize, 1024, batch.len()] {
-            let mut columnar = CorpusStats::new();
-            for start in (0..batch.len()).step_by(step) {
+        for step in [1usize, 5, 1024, batch.len()] {
+            let mut merged_rows = CorpusStats::new();
+            let mut merged_columns = CorpusStats::new();
+            let mut ingested = CorpusStats::new();
+            for (i, chunk) in records.chunks(step).enumerate() {
                 let mut part = CorpusStats::new();
-                part.observe_batch(&index, &batch, start..(start + step).min(batch.len()));
-                columnar = columnar.merge(part);
+                part.observe_records(&index, chunk);
+                merged_rows = merged_rows.merge(part);
+                let start = i * step;
+                let mut part = CorpusStats::new();
+                part.observe_batch(&index, &batch, start..start + chunk.len());
+                merged_columns = merged_columns.merge(part);
+                ingested.observe_records(&index, chunk);
             }
-            assert_eq!(columnar.records, serial.records, "step {step}");
-            assert_eq!(columnar.by_asn, serial.by_asn, "step {step}");
-            assert_eq!(columnar.by_prefix, serial.by_prefix, "step {step}");
-            assert_eq!(columnar.slots, serial.slots, "step {step}");
-            assert_eq!(columnar.band_counts, serial.band_counts, "step {step}");
+            for folded in [&merged_rows, &merged_columns, &ingested] {
+                assert_eq!(folded.records, serial.records, "step {step}");
+                assert_eq!(sample_bits(folded), sample_bits(&serial), "step {step}");
+                assert_eq!(folded.slots, serial.slots, "step {step}");
+                assert_eq!(folded.band_counts, serial.band_counts, "step {step}");
+            }
         }
         // The counts cover every mapped record.
         let counted: usize = serial.band_counts.iter().map(BandCounts::n).sum();

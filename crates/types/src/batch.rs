@@ -1,11 +1,10 @@
 //! Columnar (struct-of-arrays) record batches.
 //!
-//! The hot analysis stages — statistics accumulation, the accept pass,
-//! the stability grouping — touch only one or two fields of every
-//! [`NdtRecord`], but the row layout walks 56-byte structs and drags
-//! the unused fields through the cache with them. A [`RecordBatch`]
-//! stores the same records as parallel columns, so a pass over ASNs and
-//! latencies streams two dense `Vec`s instead.
+//! Analysis passes such as the stability grouping touch only one or
+//! two fields of every [`NdtRecord`], but the row layout walks 56-byte
+//! structs and drags the unused fields through the cache with them. A
+//! [`RecordBatch`] stores the same records as parallel columns, so a
+//! pass over ASNs and latencies streams two dense `Vec`s instead.
 //!
 //! Layout (one row per record, columns contiguous):
 //!
@@ -14,11 +13,13 @@
 //!          Vec<Timestamp> Vec<Ipv4>   Vec<Asn> Vec<f64>       Vec<f64>       Vec<f64>    Vec<f64>
 //! ```
 //!
-//! Batches are built per chunk from any [`RecordChunks`] stream (the
-//! streamed pipeline) or in one shot from a slice (the materialized
-//! pipeline). Column order is record order; [`RecordBatch::record`]
-//! reconstructs row `i` exactly, so the columnar and row paths are
-//! interchangeable bit for bit.
+//! Batches are built from any [`RecordChunks`] stream or in one shot
+//! from a slice, for passes that read a column many times (the
+//! analyses). The streamed pipeline's statistics pass reads three
+//! fields of each record once, so it folds decoded rows directly
+//! instead of copying them into seven columns first. Column order is
+//! record order; [`RecordBatch::record`] reconstructs row `i` exactly,
+//! so the columnar and row paths are interchangeable bit for bit.
 
 use crate::chunk::RecordChunks;
 use crate::records::NdtRecord;
@@ -68,9 +69,17 @@ impl RecordBatch {
         self.download.push(rec.download.0);
     }
 
-    /// Append every record of a slice, in order.
+    /// Append every record of a slice, in order, growing each column
+    /// once for the whole slice.
     pub fn extend_from_records(&mut self, records: &[NdtRecord]) {
-        self.timestamps.reserve(records.len());
+        let n = records.len();
+        self.timestamps.reserve(n);
+        self.clients.reserve(n);
+        self.asns.reserve(n);
+        self.latency_p5.reserve(n);
+        self.jitter_p95.reserve(n);
+        self.retrans_fraction.reserve(n);
+        self.download.reserve(n);
         for rec in records {
             self.push(rec);
         }
@@ -205,6 +214,29 @@ mod tests {
             let chunked = RecordBatch::from_chunks(slice_chunks(&records, chunk_len));
             assert_eq!(chunked, whole, "chunk_len {chunk_len}");
         }
+    }
+
+    #[test]
+    fn chunked_build_reserves_every_column() {
+        // Each extend reserves the chunk in all seven columns, so every
+        // column grows like the timestamps do and covers its rows; a
+        // column left to regrow by doubling ends on another capacity.
+        let records = sample(101);
+        let batch = RecordBatch::from_chunks(slice_chunks(&records, 7));
+        let capacities = [
+            batch.timestamps.capacity(),
+            batch.clients.capacity(),
+            batch.asns.capacity(),
+            batch.latency_p5.capacity(),
+            batch.jitter_p95.capacity(),
+            batch.retrans_fraction.capacity(),
+            batch.download.capacity(),
+        ];
+        assert!(capacities[0] >= batch.len(), "{capacities:?}");
+        assert!(
+            capacities.iter().all(|&c| c == capacities[0]),
+            "{capacities:?}"
+        );
     }
 
     #[test]

@@ -102,15 +102,34 @@ fn read_u16(bytes: &[u8]) -> u16 {
     u16::from_le_bytes(buf)
 }
 
-fn decode_body(body: &[u8]) -> NdtRecord {
+/// The next `N` bytes of a frame body, advancing past them. A body is
+/// [`FRAME_BODY_LEN`] bytes and its fields add up to exactly that, so
+/// every split succeeds; a short body would read zeros, never panic.
+fn take<const N: usize>(bytes: &mut &[u8]) -> [u8; N] {
+    match bytes.split_first_chunk::<N>() {
+        Some((field, rest)) => {
+            *bytes = rest;
+            *field
+        }
+        None => [0; N],
+    }
+}
+
+/// Decode one frame body, its fields in wire order.
+fn decode_body(body: &[u8; FRAME_BODY_LEN]) -> NdtRecord {
+    let mut bytes: &[u8] = body;
+    let timestamp = Timestamp(u64::from_le_bytes(take(&mut bytes)));
+    let client = Ipv4(u32::from_le_bytes(take(&mut bytes)));
+    let asn = Asn(u32::from_le_bytes(take(&mut bytes)));
+    let mut float = || f64::from_bits(u64::from_le_bytes(take(&mut bytes)));
     NdtRecord {
-        timestamp: Timestamp(read_u64(&body[0..8])),
-        client: Ipv4(read_u32(&body[8..12])),
-        asn: Asn(read_u32(&body[12..16])),
-        latency_p5: Millis(f64::from_bits(read_u64(&body[16..24]))),
-        jitter_p95: Millis(f64::from_bits(read_u64(&body[24..32]))),
-        retrans_fraction: f64::from_bits(read_u64(&body[32..40])),
-        download: Mbps(f64::from_bits(read_u64(&body[40..48]))),
+        timestamp,
+        client,
+        asn,
+        latency_p5: Millis(float()),
+        jitter_p95: Millis(float()),
+        retrans_fraction: float(),
+        download: Mbps(float()),
     }
 }
 
@@ -334,24 +353,25 @@ impl RecordChunks for DecodeChunks<'_> {
     type Item = NdtRecord;
 
     fn next_chunk(&mut self) -> Option<Vec<NdtRecord>> {
-        if self.offset >= self.bytes.len() {
+        // Whole frames only, at most `chunk_len` of them: the chunk is
+        // sized for what the buffer still holds, so a caller asking for
+        // one huge chunk allocates nothing for frames that do not exist.
+        let rest = self.bytes.get(self.offset..).unwrap_or_default();
+        let (frames, _) = rest.as_chunks::<FRAME_LEN>();
+        let frames = frames
+            .get(..self.chunk_len.min(frames.len()))
+            .unwrap_or_default();
+        if frames.is_empty() {
             return None;
         }
-        // Reserve what the buffer can still yield, not `chunk_len`: a
-        // caller asking for one huge chunk must not allocate for frames
-        // that do not exist.
-        let frames_left = (self.bytes.len() - self.offset) / FRAME_LEN;
-        let mut chunk = Vec::with_capacity(self.chunk_len.min(frames_left));
-        while chunk.len() < self.chunk_len && self.offset + FRAME_LEN <= self.bytes.len() {
-            let body = &self.bytes[self.offset + 4..self.offset + FRAME_LEN];
-            chunk.push(decode_body(body));
-            self.offset += FRAME_LEN;
-        }
-        if chunk.is_empty() {
-            None
-        } else {
-            Some(chunk)
-        }
+        self.offset += frames.len() * FRAME_LEN;
+        // The length prefix was validated with the corpus.
+        Some(
+            frames
+                .iter()
+                .map(|[_, _, _, _, body @ ..]| decode_body(body))
+                .collect(),
+        )
     }
 }
 

@@ -619,3 +619,171 @@ proptest! {
         }
     }
 }
+
+/// ASNs the pass-1 fold property mixes: Starlink's two (LEO), SES's two
+/// (MEO+GEO), Hughes's two and Viasat's (GEO), O3b's (MEO), then two
+/// unmapped ones.
+const FOLD_ASNS: [u32; 10] = [
+    14593, 27277, 12684, 201554, 28613, 1358, 13955, 60725, 398101, 7018,
+];
+
+/// How many of [`FOLD_ASNS`], from the front, the curated mapping lists.
+const FOLD_MAPPED: usize = 8;
+
+/// Latency picks for the fold property: [`EDGE_LATENCIES`], a negative
+/// NaN, and as many draws from a range.
+const FOLD_LATENCY_PICKS: usize = 2 * (EDGE_LATENCIES.len() + 1);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The pass-1 statistics fold, every way it is reached, against the
+    /// row-at-a-time reference `CorpusStats::observe`. Records come as
+    /// A-B-A runs, where A is a curated ASN and B any ASN, an unmapped
+    /// one included, so one ASN's runs are split by another ASN's. The
+    /// non-LEO operators' records share three /24s, so one
+    /// `(operator, /24)` bucket gathers two ASNs' samples from
+    /// interleaved runs. Latencies sit on every band edge, at ±inf,
+    /// −0.0 and NaN of either sign. The records are cut into chunks at
+    /// random points. `observe_batch` over those ranges, which feeds
+    /// its columns to the same fold body as pass 1 and online ingest,
+    /// must equal the reference in `records`, `by_asn` and `by_prefix`
+    /// (bit for bit), `slots` and `band_counts`, both as partials
+    /// merged in order and into one accumulator. The row fold itself
+    /// is crate-private, so its state is checked through what it
+    /// decides: `run_streamed` over the cut chunks at 1 and 2 threads,
+    /// and an online identifier that ingested them, report what
+    /// `Pipeline::run` does.
+    #[test]
+    fn stats_folds_match_the_row_reference(
+        triples in prop::collection::vec(
+            (0..FOLD_MAPPED, 0..FOLD_ASNS.len(), 1..5usize, 1..5usize, 1..5usize),
+            1..20,
+        ),
+        picks in prop::collection::vec(
+            (0..FOLD_LATENCY_PICKS, -20.0..1300.0f64, 0..15u8),
+            1..40,
+        ),
+        cuts in prop::collection::vec(0..300usize, 0..8),
+    ) {
+        use sno_dissect::core::{
+            map_asns, AsnOps, CorpusStats, OnlineIdentifier, Pipeline, StreamOptions,
+            StreamedReport,
+        };
+        use sno_dissect::types::chunk::RecordChunks;
+        use sno_dissect::types::records::NdtRecord;
+        use sno_dissect::types::{Mbps, Millis, Prefix24, RecordBatch, Timestamp};
+
+        /// A source yielding pre-cut chunks.
+        struct CutChunks(std::vec::IntoIter<Vec<NdtRecord>>);
+        impl RecordChunks for CutChunks {
+            type Item = NdtRecord;
+            fn next_chunk(&mut self) -> Option<Vec<NdtRecord>> {
+                self.0.next()
+            }
+        }
+
+        /// The folded samples as bit patterns, so NaNs compare.
+        type Bits = (
+            BTreeMap<Asn, Vec<u64>>,
+            BTreeMap<(Operator, Prefix24), Vec<(Asn, u64)>>,
+        );
+        fn bits(stats: &CorpusStats) -> Bits {
+            let by_asn = stats
+                .by_asn
+                .iter()
+                .map(|(&asn, lats)| (asn, lats.iter().map(|l| l.to_bits()).collect()))
+                .collect();
+            let by_prefix = stats
+                .by_prefix
+                .iter()
+                .map(|(&key, samples)| {
+                    (key, samples.iter().map(|&(asn, l)| (asn, l.to_bits())).collect())
+                })
+                .collect();
+            (by_asn, by_prefix)
+        }
+
+        let latencies: Vec<f64> = EDGE_LATENCIES.iter().copied().chain([-f64::NAN]).collect();
+        let mut records: Vec<NdtRecord> = Vec::new();
+        for &(a, b, first, between, second) in &triples {
+            for (asn, run) in [(a, first), (b, between), (a, second)] {
+                for _ in 0..run {
+                    let i = records.len();
+                    let (l, x, host) = picks[i % picks.len()];
+                    records.push(NdtRecord {
+                        timestamp: Timestamp(i as u64),
+                        client: Ipv4::new(10, 0, host % 3, host / 3 + 1),
+                        asn: Asn(FOLD_ASNS[asn]),
+                        latency_p5: Millis(latencies.get(l).copied().unwrap_or(x)),
+                        jitter_p95: Millis(10.0),
+                        retrans_fraction: 0.01,
+                        download: Mbps(50.0),
+                    });
+                }
+            }
+        }
+        let mapping = map_asns();
+        let index = AsnOps::new(&mapping);
+        for (i, &asn) in FOLD_ASNS.iter().enumerate() {
+            prop_assert_eq!(index.get(Asn(asn)).is_some(), i < FOLD_MAPPED, "AS{}", asn);
+        }
+        let mut reference = CorpusStats::new();
+        for rec in &records {
+            reference.observe(&mapping, rec);
+        }
+
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(records.len())).collect();
+        bounds.extend([0, records.len()]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let ranges: Vec<std::ops::Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+
+        let batch = RecordBatch::from_records(&records);
+        let mut merged = CorpusStats::new();
+        let mut accumulated = CorpusStats::new();
+        let mut online = OnlineIdentifier::new(Pipeline::new());
+        for range in &ranges {
+            let mut part = CorpusStats::new();
+            part.observe_batch(&index, &batch, range.clone());
+            merged = merged.merge(part);
+            accumulated.observe_batch(&index, &batch, range.clone());
+            online.ingest(&records[range.clone()]);
+        }
+        let want = bits(&reference);
+        for (fold, stats) in [
+            ("merged batch ranges", &merged),
+            ("accumulated batch ranges", &accumulated),
+        ] {
+            prop_assert_eq!(stats.records, reference.records, "{}", fold);
+            prop_assert_eq!(&bits(stats), &want, "{}", fold);
+            prop_assert_eq!(&stats.slots, &reference.slots, "{}", fold);
+            prop_assert_eq!(&stats.band_counts, &reference.band_counts, "{}", fold);
+        }
+
+        let run = Pipeline::new().run(&records);
+        let same = |a: &StreamedReport, b: &StreamedReport| {
+            a.records == b.records
+                && a.catalog == b.catalog
+                && a.accepted == b.accepted
+                && a.bitmap.len() == b.bitmap.len()
+                && (0..a.bitmap.len()).all(|i| a.bitmap.get(i) == b.bitmap.get(i))
+                && a.default_threshold.to_bits() == b.default_threshold.to_bits()
+                && format!("{:?}", a.thresholds) == format!("{:?}", b.thresholds)
+                && format!("{:?}", a.profiles) == format!("{:?}", b.profiles)
+                && format!("{:?}", a.strict) == format!("{:?}", b.strict)
+        };
+        let opts = StreamOptions {
+            dense_acceptance: true,
+            ..StreamOptions::default()
+        };
+        for threads in [1, 2] {
+            let chunks: Vec<Vec<NdtRecord>> =
+                ranges.iter().map(|range| records[range.clone()].to_vec()).collect();
+            let streamed = Pipeline::with_threads(threads)
+                .run_streamed(|| CutChunks(chunks.into_iter()), opts);
+            prop_assert!(same(&streamed, &run), "threads {}", threads);
+        }
+        prop_assert!(same(&online.snapshot(opts), &run), "online ingest");
+    }
+}
