@@ -54,6 +54,10 @@ run benches cargo build --benches --offline -p sno-bench
 run fmt cargo fmt --check
 run clippy cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Doc gate: rustdoc with warnings denied, so a doc comment that links to
+# a deleted or private item, or links ambiguously, fails here.
+run doc env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # Lint gate: the in-tree determinism & hermeticity pass (sno-lint).
 # Fails on any diagnostic not excused by a justified allow pragma, and
 # ratchets the justified-suppression ledger: the machine-readable report

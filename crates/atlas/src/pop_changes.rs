@@ -8,7 +8,7 @@
 
 use crate::pop_rtt::{pop_rtt_series, pop_rtt_series_by_probe, pop_rtt_series_from_chunks};
 use crate::popmap::{pop_history, PopLink};
-use sno_stats::OnlineShiftDetector;
+use sno_stats::detect_mean_shifts;
 use sno_types::chunk::RecordChunks;
 use sno_types::records::{SslCertRecord, TracerouteRecord};
 use sno_types::{par, Ipv4, ProbeId, Timestamp};
@@ -174,13 +174,10 @@ fn detect_in_buckets(
     per_probe.into_iter().flatten().collect()
 }
 
-/// Segment one probe's RTT series and attribute the shifts.
-///
-/// Runs through the *online* changepoint detector
-/// ([`sno_stats::OnlineShiftDetector`]), which replays the batch
-/// segmentation over its buffered window — so the batch entry points and
-/// the incremental [`PopChangeMonitor`] share one detection path with
-/// identical results.
+/// Segment one probe's RTT series and attribute the shifts. The batch
+/// entry points and the incremental [`PopChangeMonitor`] both detect
+/// through here, so they share one detection path with identical
+/// results.
 fn detect_in_series(
     series: &[(Timestamp, f64)],
     probe: ProbeId,
@@ -191,12 +188,8 @@ fn detect_in_series(
     if series.len() < 2 * min_segment {
         return Vec::new();
     }
-    let mut detector = OnlineShiftDetector::new(min_shift_ms, min_segment);
-    for &(_, v) in series {
-        detector.push(v);
-    }
-    detector
-        .shifts()
+    let values: Vec<f64> = series.iter().map(|&(_, v)| v).collect();
+    detect_mean_shifts(&values, min_shift_ms, min_segment)
         .into_iter()
         .map(|shift| {
             let at = series[shift.index].0;

@@ -4,7 +4,8 @@
 //! repro                 # run everything
 //! repro table1 fig4c    # run selected experiments
 //! repro --list          # list experiment ids
-//! repro --scale 1e-2    # denser corpus (slower, smoother statistics)
+//! repro --scale 1e-2    # denser corpus (slower, smoother statistics;
+//!                       # a finite number above 0)
 //! repro --threads 4     # worker pool size (0 = all cores; output
 //!                       # is byte-identical at every setting)
 //! repro --chunk 4096    # stream the streamable experiments through
@@ -779,8 +780,9 @@ fn main() {
         let value = args
             .get(pos + 1)
             .and_then(|v| v.parse::<f64>().ok())
+            .filter(|v| v.is_finite() && *v > 0.0)
             .unwrap_or_else(|| {
-                eprintln!("--scale needs a number, e.g. --scale 1e-2");
+                eprintln!("--scale needs a finite number above 0, e.g. --scale 1e-2");
                 std::process::exit(2);
             });
         config.scale = value;

@@ -20,7 +20,7 @@
 //!   a seed; `SNO_CHECK_SEED=<seed>` replays the identical
 //!   counterexample, and [`corpus`] persists failing seeds to committed
 //!   `tests/corpora/*.seeds` files that replay before fresh generation.
-//! * [`bench`] — `bench_group`/`bench_function` with warm-up,
+//! * [`mod@bench`] — `bench_group`/`bench_function` with warm-up,
 //!   calibration, N timed samples, a median/p10/p90 report, and JSON
 //!   output for `BENCH_*.json` trajectory files.
 //!

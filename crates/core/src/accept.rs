@@ -214,7 +214,7 @@ impl AcceptTable {
 /// pass 1 already keeps both in record order: the slot column
 /// ([`CorpusStats::slots`]) and the per-ASN latency buckets (`by_asn`).
 /// The k-th record of a slot carries the k-th latency of that slot's
-/// bucket, so [`AcceptState::replay`] decides records by walking the
+/// bucket, so `AcceptState::replay` decides records by walking the
 /// slot column with one cursor per slot into the buckets, without a
 /// second pass over the source.
 /// [`Pipeline::run_streamed`](crate::pipeline::Pipeline::run_streamed)
@@ -223,9 +223,9 @@ impl AcceptTable {
 /// snapshot only has to:
 ///
 /// 1. re-derive the table from the updated statistics;
-/// 2. if it equals the stored table ([`AcceptState::compatible`]),
+/// 2. if it equals the stored table (`AcceptState::compatible`),
 ///    replay just the records folded since `decided` — O(delta);
-/// 3. otherwise bump the epoch ([`AcceptState::reset`]) and replay the
+/// 3. otherwise bump the epoch (`AcceptState::reset`) and replay the
 ///    whole slot column.
 ///
 /// Every record is decided by its slot's rule in record order, so the

@@ -5,9 +5,7 @@
 //! [`Pipeline::run`](crate::pipeline::Pipeline::run) returns), so
 //! nothing here ever sees a record the identification stage rejected.
 
-use sno_stats::{
-    daily_medians, timeseries::daily_variation_p95, DailyPoint, Ecdf, FiveNumber, QuantileSketch,
-};
+use sno_stats::{daily_medians, timeseries::daily_variation_p95, DailyPoint, Ecdf, FiveNumber};
 use sno_types::records::NdtRecord;
 use sno_types::{AccessKind, Operator, OrbitClass, RecordBatch};
 use std::collections::BTreeMap;
@@ -115,22 +113,6 @@ pub fn latency_table_with_ecdfs(
     }
     table.sort_by(|a, b| a.1.median.total_cmp(&b.1.median));
     (table, ecdfs)
-}
-
-/// The Figure 3c table shape from per-operator streaming sketches (what
-/// [`OnlineIdentifier`](crate::online::OnlineIdentifier) maintains):
-/// counts, minima and maxima are exact, the quartiles carry the
-/// sketch's bounded relative error. Sorted by median ascending, as
-/// [`latency_table`].
-pub fn latency_table_from_sketches(
-    by_op: &BTreeMap<Operator, QuantileSketch>,
-) -> Vec<(Operator, FiveNumber)> {
-    let mut out: Vec<(Operator, FiveNumber)> = by_op
-        .iter()
-        .filter_map(|(&op, sketch)| FiveNumber::from_sketch(sketch).map(|s| (op, s)))
-        .collect();
-    out.sort_by(|a, b| a.1.median.total_cmp(&b.1.median));
-    out
 }
 
 /// Figure 4a: daily latency medians for one operator, plus the paper's
@@ -323,37 +305,6 @@ mod tests {
             let shared = &ecdfs[op];
             assert_eq!(shared.len(), fresh.len(), "{op:?}");
             assert_eq!(shared.steps(), fresh.steps(), "{op:?}");
-        }
-    }
-
-    #[test]
-    fn sketch_table_tracks_exact_table() {
-        let (corpus, accepted) = fixture();
-        let mut by_op: BTreeMap<Operator, Vec<f64>> = BTreeMap::new();
-        let mut sketches: BTreeMap<Operator, QuantileSketch> = BTreeMap::new();
-        for (rec, acc) in corpus.records.iter().zip(accepted) {
-            if let Some(op) = acc {
-                by_op.entry(*op).or_default().push(rec.latency_p5.0);
-                sketches.entry(*op).or_default().push(rec.latency_p5.0);
-            }
-        }
-        let exact = latency_table(&by_op);
-        let approx = latency_table_from_sketches(&sketches);
-        assert_eq!(approx.len(), exact.len());
-        let exact_of = |op: Operator| exact.iter().find(|(o, _)| *o == op).unwrap().1;
-        for &(op, got) in &approx {
-            let want = exact_of(op);
-            assert_eq!(got.count, want.count, "{op:?}");
-            assert_eq!(got.min, want.min, "{op:?}");
-            assert_eq!(got.max, want.max, "{op:?}");
-            let bound = QuantileSketch::RELATIVE_ERROR * want.max.abs() + 1e-12;
-            for (g, w) in [
-                (got.q1, want.q1),
-                (got.median, want.median),
-                (got.q3, want.q3),
-            ] {
-                assert!((g - w).abs() <= bound, "{op:?}: {g} vs {w} (bound {bound})");
-            }
         }
     }
 

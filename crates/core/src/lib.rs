@@ -54,7 +54,7 @@ pub use accept::{AcceptTable, AsnOps};
 pub use accuracy::{attribution_accuracy, score, Confusion};
 pub use analysis::{jitter_by_orbit, latency_by_operator, retransmissions, stability, OrbitGroup};
 pub use asn_map::{map_asns, AsnMapping};
-pub use online::{MergeError, OnlineIdentifier, PopFlag};
+pub use online::{MergeError, OnlineIdentifier};
 pub use pipeline::Pipeline;
 pub use prefix_filter::{relaxed_thresholds, strict_filter, StrictOutcome};
 pub use stream::{AcceptBitmap, CorpusStats, StreamOptions, StreamedReport};

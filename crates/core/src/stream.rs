@@ -4,9 +4,8 @@
 //! [`Pipeline::run_streamed`] produces the [`StreamedReport`] from a
 //! chunked source in one pass over the source plus a replay of the
 //! state that pass kept; every other entry point is a source choice on
-//! top of it ([`Pipeline::run`] streams an in-memory slice, a windowed
-//! online snapshot streams its in-window records, a caller holding an
-//! encoded corpus streams its [`sno_types::codec`] frames):
+//! top of it ([`Pipeline::run`] streams an in-memory slice, a caller
+//! holding an encoded corpus streams its [`sno_types::codec`] frames):
 //!
 //! 1. **Statistics pass** — every decoded chunk's rows are folded into
 //!    a [`CorpusStats`] accumulator (per-ASN latency samples, per-slot
@@ -31,6 +30,11 @@
 //!    bit per record), and the dense per-record vector only when
 //!    [`StreamOptions`] asks for it.
 //!
+//! The online identifier runs the same two steps apart in time: each
+//! arriving chunk is folded as in step 1 into the one [`CorpusStats`] it
+//! keeps, and each snapshot replays as in step 2 the slots added since
+//! the last one (all of them when the accept table shifted).
+//!
 //! Peak memory is the per-bucket statistics (latency samples and a
 //! 2-byte slot per record, not records) plus one generation wave — the
 //! corpus itself is never resident unless the source holds it. The
@@ -49,8 +53,7 @@ use sno_types::{Asn, Ipv4, Operator, OrbitClass, Prefix24, RecordBatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-/// Chunk length the in-memory sources stream at: [`Pipeline::run`]'s
-/// record slice and the windowed online snapshot's retained records.
+/// Chunk length [`Pipeline::run`] streams its in-memory record slice at.
 pub(crate) const REPLAY_CHUNK_LEN: usize = 4096;
 
 /// Per-chunk accumulator for the statistics pass: everything stages

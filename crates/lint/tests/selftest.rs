@@ -241,11 +241,11 @@ fn rule_unordered_iter_fires_in_deterministic_crates_only() {
     let diags = lint_source("crates/core/src/x.rs", bad);
     assert!(rules_of(&diags).iter().all(|r| *r == "unordered-iter"));
     assert!(!diags.is_empty());
-    // The incremental modules added on top of the streaming layer are
-    // covered from day one: their state must merge deterministically.
+    // The online identifier and the statistics toolkit are covered too:
+    // their state must merge deterministically.
     for path in [
         "crates/core/src/online.rs",
-        "crates/stats/src/sketch.rs",
+        "crates/stats/src/x.rs",
         "crates/bgp/src/x.rs",
     ] {
         let diags = lint_source(path, bad);

@@ -1,6 +1,6 @@
 //! Seed-sweep campaign runner.
 //!
-//! A sweep runs [`run_seed`](super::scenario::run_seed) over many seeds
+//! A sweep runs [`run_seed`] over many seeds
 //! in parallel via [`sno_types::par::shard_map`] — one shard per seed,
 //! merged in seed order — so the rendered report is byte-identical at
 //! any thread count. A failing seed is a complete reproduction recipe:

@@ -1,7 +1,5 @@
 //! Empirical cumulative distribution functions.
 
-use crate::sketch::QuantileSketch;
-
 /// An empirical CDF over a one-dimensional sample.
 #[derive(Debug, Clone)]
 pub struct Ecdf {
@@ -30,21 +28,6 @@ impl Ecdf {
             sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
             "input must be sorted"
         );
-        Some(Ecdf { sorted })
-    }
-
-    /// Expand a streaming [`QuantileSketch`] into the ECDF of its
-    /// weighted representatives (already sorted by construction). Step
-    /// positions carry the sketch's bounded relative error. `None` on an
-    /// empty sketch.
-    pub fn from_sketch(sketch: &QuantileSketch) -> Option<Ecdf> {
-        if sketch.is_empty() {
-            return None;
-        }
-        let mut sorted = Vec::with_capacity(sketch.count() as usize);
-        for (v, c) in sketch.weighted_values() {
-            sorted.extend(std::iter::repeat_n(v, c as usize));
-        }
         Some(Ecdf { sorted })
     }
 

@@ -12,16 +12,17 @@
 //! * [`timeseries`] — daily binning and daily-variation statistics
 //!   (Figure 4a);
 //! * [`changepoint`] — mean-shift segmentation used to detect Starlink
-//!   PoP reassignment events in RTT series (Figure 8b);
-//! * [`sketch`] — mergeable streaming sketches (quantiles, moments,
-//!   changepoints) for the online identification service.
+//!   PoP reassignment events in RTT series (Figure 8b).
+//!
+//! Every statistic here is exact over an in-memory sample. The online
+//! identifier decides from the exact per-ASN band counts and latency
+//! buckets of `sno_core::CorpusStats`, its one per-record store.
 
 pub mod changepoint;
 pub mod ecdf;
 pub mod histogram;
 pub mod kde;
 pub mod quantile;
-pub mod sketch;
 pub mod summary;
 pub mod timeseries;
 
@@ -30,6 +31,5 @@ pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use kde::Kde;
 pub use quantile::{median, quantile, quantile_of_sorted};
-pub use sketch::{OnlineShiftDetector, QuantileSketch, RunningMoments};
 pub use summary::FiveNumber;
 pub use timeseries::{daily_medians, DailyPoint};

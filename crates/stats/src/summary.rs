@@ -1,7 +1,6 @@
 //! Five-number summaries (boxplot statistics).
 
 use crate::quantile::quantile_of_sorted;
-use crate::sketch::QuantileSketch;
 
 /// The statistics a boxplot displays: min / q1 / median / q3 / max, plus
 /// the count and the Tukey whisker positions.
@@ -44,20 +43,6 @@ impl FiveNumber {
             median: quantile_of_sorted(sorted, 0.5),
             q3: quantile_of_sorted(sorted, 0.75),
             max: sorted[sorted.len() - 1],
-        })
-    }
-
-    /// Summarise a streaming [`QuantileSketch`]: count, min and max are
-    /// exact; the quartiles carry the sketch's bounded relative error.
-    /// `None` on an empty sketch.
-    pub fn from_sketch(sketch: &QuantileSketch) -> Option<FiveNumber> {
-        Some(FiveNumber {
-            count: sketch.count() as usize,
-            min: sketch.min()?,
-            q1: sketch.quantile(0.25)?,
-            median: sketch.quantile(0.5)?,
-            q3: sketch.quantile(0.75)?,
-            max: sketch.max()?,
         })
     }
 

@@ -1,10 +1,7 @@
 //! Deeper property-based tests for the statistics toolkit.
 
 use sno_check::prelude::*;
-use sno_stats::{
-    detect_mean_shifts, quantile, quantile_of_sorted, Ecdf, FiveNumber, Histogram, Kde,
-    QuantileSketch,
-};
+use sno_stats::{detect_mean_shifts, quantile, Ecdf, FiveNumber, Histogram, Kde};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -111,68 +108,6 @@ proptest! {
             prop_assert!(w[0].1 < w[1].1 + 1e-12);
         }
         prop_assert!((steps.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    /// Sketch ingestion is mergeable: any shard partition of the data,
-    /// merged in any order and any grouping, reproduces the serially
-    /// built state exactly — not approximately.
-    #[test]
-    fn sketch_merge_shard_order_invariant(
-        data in prop::collection::vec(-1e6..1e6f64, 3..200),
-        seed in any::<u64>(),
-    ) {
-        let mut serial = QuantileSketch::new();
-        serial.extend(data.iter().copied());
-
-        // Three shards with seed-derived boundaries (possibly empty).
-        let a = (seed as usize) % (data.len() + 1);
-        let b = ((seed >> 16) as usize) % (data.len() + 1);
-        let (lo, hi) = (a.min(b), a.max(b));
-        let shards = [&data[..lo], &data[lo..hi], &data[hi..]];
-        let sketch_of = |slice: &[f64]| {
-            let mut s = QuantileSketch::new();
-            s.extend(slice.iter().copied());
-            s
-        };
-        let [s0, s1, s2] = shards.map(sketch_of);
-
-        // Left fold in shard order.
-        let mut in_order = s0.clone();
-        in_order.merge(&s1);
-        in_order.merge(&s2);
-        prop_assert_eq!(&in_order, &serial);
-        // Reversed shard order.
-        let mut reversed = s2.clone();
-        reversed.merge(&s1);
-        reversed.merge(&s0);
-        prop_assert_eq!(&reversed, &serial);
-        // Different grouping: s0 + (s1 + s2).
-        let mut tail = s1.clone();
-        tail.merge(&s2);
-        let mut grouped = s0.clone();
-        grouped.merge(&tail);
-        prop_assert_eq!(&grouped, &serial);
-    }
-
-    /// Sketch quantiles stay within the documented relative-error bound
-    /// of the exact sorted-data quantile, for any data and any q.
-    #[test]
-    fn sketch_quantile_error_bounded(
-        data in prop::collection::vec(-1e6..1e6f64, 1..300),
-        q in 0.0..=1.0f64,
-    ) {
-        let mut sketch = QuantileSketch::new();
-        sketch.extend(data.iter().copied());
-        let mut sorted = data.clone();
-        sorted.sort_by(f64::total_cmp);
-        let exact = quantile_of_sorted(&sorted, q);
-        let got = sketch.quantile(q).unwrap();
-        let max_abs = sorted.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        let tol = QuantileSketch::RELATIVE_ERROR * max_abs + 1e-9;
-        prop_assert!(
-            (got - exact).abs() <= tol,
-            "q {} got {} exact {} tol {}", q, got, exact, tol
-        );
     }
 
     /// `Kde::mass_in` is the brute-force count of samples in `[lo, hi)`

@@ -384,7 +384,7 @@ fn edge_shard(year: i32, shard: usize) -> Vec<(Asn, Asn)> {
 /// edges, producing up to `threads` shards at a time (`0` = auto). The
 /// concatenated stream is the same edge sequence for every chunk length
 /// and thread count; it is *not* deduplicated — fold it through
-/// [`merge_sorted_dedup`] (as [`snapshot_for_chunked`] does) to recover
+/// `merge_sorted_dedup` (as [`snapshot_for_chunked`] does) to recover
 /// the snapshot's canonical sorted edge list.
 pub fn edge_chunks(
     year: i32,

@@ -4,9 +4,8 @@
 //! An encoded corpus is a chunked source that streams any number of
 //! times without re-running the generator that produced it: ~52 bytes
 //! per record, decoded back bit-for-bit (floats travel as raw IEEE-754
-//! bits, so even NaN payloads survive). The windowed online identifier
-//! keeps its retained records in this format, and a caller that
-//! identifies one corpus repeatedly can pay generation once.
+//! bits, so even NaN payloads survive). A caller that identifies one
+//! corpus repeatedly can pay generation once.
 //!
 //! Wire layout, all integers little-endian:
 //!
@@ -272,14 +271,6 @@ impl Encoder {
         }
     }
 
-    /// Append every frame of another encoder, in order — how sharded
-    /// windowed online ingest merges per-shard replay logs. Byte-wise this equals
-    /// having pushed the other encoder's records after this one's.
-    pub fn append(&mut self, other: &Encoder) {
-        self.bytes.extend_from_slice(&other.bytes[HEADER_LEN..]);
-        self.count += other.count;
-    }
-
     /// Records encoded so far.
     pub fn len(&self) -> usize {
         self.count as usize
@@ -288,41 +279,6 @@ impl Encoder {
     /// True when nothing has been pushed.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Resident wire bytes (header included) — the replay log's memory
-    /// footprint, what windowed eviction bounds.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Stream the frames encoded so far in chunks of at most
-    /// `chunk_len`, without sealing or cloning the buffer. Frames are
-    /// fixed-size, so the un-patched header count is irrelevant to
-    /// decoding — the stream simply runs to the end of the buffer.
-    ///
-    /// # Panics
-    /// Panics if `chunk_len == 0`.
-    pub fn chunks(&self, chunk_len: usize) -> DecodeChunks<'_> {
-        assert!(chunk_len > 0, "chunks: chunk_len must be positive");
-        DecodeChunks {
-            bytes: &self.bytes,
-            offset: HEADER_LEN,
-            chunk_len,
-        }
-    }
-
-    /// Drop the first `n` frames (truncation-safe eviction): the
-    /// remaining frames keep their relative order and re-validate as a
-    /// well-formed corpus, byte-identical to re-encoding the surviving
-    /// suffix. Dropping more frames than exist clears the log.
-    pub fn drop_front(&mut self, n: usize) {
-        let n = n.min(self.count as usize);
-        if n == 0 {
-            return;
-        }
-        self.bytes.drain(HEADER_LEN..HEADER_LEN + n * FRAME_LEN);
-        self.count -= n as u64;
     }
 
     /// Patch the header count and seal the corpus.
@@ -468,83 +424,6 @@ mod tests {
         }
         assert_eq!(enc.len(), records.len());
         assert_eq!(enc.finish(), encode_records(&records));
-    }
-
-    #[test]
-    fn appended_encoders_match_serial() {
-        let records = sample(31);
-        let mut serial = Encoder::new();
-        serial.extend_records(&records);
-
-        let mut left = Encoder::new();
-        let mut right = Encoder::new();
-        left.extend_records(&records[..11]);
-        right.extend_records(&records[11..]);
-        left.append(&right);
-        assert_eq!(left.len(), records.len());
-        assert_eq!(left.finish(), serial.finish());
-
-        // Appending an empty shard is a no-op.
-        let mut enc = Encoder::new();
-        enc.extend_records(&records);
-        enc.append(&Encoder::new());
-        assert_eq!(enc.finish(), encode_records(&records));
-    }
-
-    #[test]
-    fn encoder_chunks_match_sealed_corpus_without_cloning() {
-        let records = sample(90);
-        let mut enc = Encoder::new();
-        enc.extend_records(&records);
-        for chunk_len in [1usize, 7, 90, 4096] {
-            assert_eq!(
-                enc.chunks(chunk_len).collect_records(),
-                records,
-                "chunk_len {chunk_len}"
-            );
-        }
-        // Un-sealed iteration leaves the encoder usable.
-        assert_eq!(enc.len(), records.len());
-        assert_eq!(enc.finish(), encode_records(&records));
-    }
-
-    #[test]
-    fn drop_front_equals_reencoding_the_suffix() {
-        let records = sample(37);
-        for n in [0usize, 1, 17, 36, 37, 50] {
-            let mut enc = Encoder::new();
-            enc.extend_records(&records);
-            enc.drop_front(n);
-            let kept = &records[n.min(records.len())..];
-            assert_eq!(enc.len(), kept.len(), "n {n}");
-            assert_eq!(enc.chunks(8).collect_records(), kept, "n {n}");
-            // The trimmed log seals into a corpus that validates and
-            // byte-equals a fresh encoding of the surviving suffix.
-            let sealed = enc.finish();
-            assert_eq!(sealed, encode_records(kept), "n {n}");
-            assert_eq!(
-                EncodedCorpus::from_bytes(sealed.bytes().to_vec()),
-                Ok(sealed),
-                "n {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn drop_front_then_push_keeps_framing() {
-        let records = sample(20);
-        let mut enc = Encoder::new();
-        enc.extend_records(&records[..12]);
-        let before = enc.byte_len();
-        enc.drop_front(5);
-        assert_eq!(before - enc.byte_len(), 5 * FRAME_LEN);
-        for rec in &records[12..] {
-            enc.push(rec);
-        }
-        let mut want: Vec<NdtRecord> = records[5..12].to_vec();
-        want.extend_from_slice(&records[12..]);
-        assert_eq!(enc.chunks(4096).collect_records(), want);
-        assert_eq!(enc.finish(), encode_records(&want));
     }
 
     #[test]

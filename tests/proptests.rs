@@ -787,3 +787,109 @@ proptest! {
         prop_assert!(same(&online.snapshot(opts), &run), "online ingest");
     }
 }
+
+/// Codec wire layout (see `sno_types::codec`): a 16-byte header, then
+/// frames of a 4-byte length prefix and a 48-byte body.
+const CODEC_HEADER_LEN: usize = 16;
+const CODEC_BODY_LEN: usize = 48;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The codec-to-ingest boundary under malformed bytes. Six buffers
+    /// per case go through `EncodedCorpus::from_bytes`: arbitrary
+    /// bytes, the same bytes behind a valid header, the same bytes cut
+    /// into 48-byte bodies behind valid framing (any field value, huge
+    /// ASNs and NaN of either sign included), and an encoding of
+    /// records over curated and unmapped ASNs: whole, truncated at a
+    /// random offset, and with one random byte flipped. Nothing may
+    /// panic, and a truncated encoding is refused. An accepted corpus
+    /// decodes exactly `len()` records, and `run_streamed` over its
+    /// chunks reports the records, bitmap and catalog of an online
+    /// identifier that ingested the same chunks.
+    #[test]
+    fn malformed_codec_bytes_reach_ingest_without_panic(
+        raw in prop::collection::vec(any::<u8>(), 0..512),
+        picks in prop::collection::vec(
+            (0..FOLD_ASNS.len(), 0..2 * EDGE_LATENCIES.len(), -20.0..1300.0f64, any::<u32>()),
+            0..60,
+        ),
+        cut in any::<usize>(),
+        flip_at in any::<usize>(),
+        flip_mask in 1..=255u8,
+        k in 1..64usize,
+    ) {
+        use sno_dissect::core::{OnlineIdentifier, Pipeline, StreamOptions};
+        use sno_dissect::types::chunk::RecordChunks;
+        use sno_dissect::types::codec::{self, EncodedCorpus};
+        use sno_dissect::types::records::NdtRecord;
+        use sno_dissect::types::{Mbps, Millis, Timestamp};
+
+        let header = |count: usize| {
+            let mut bytes = codec::MAGIC.to_vec();
+            bytes.extend_from_slice(&codec::VERSION.to_le_bytes());
+            bytes.extend_from_slice(&[0, 0]);
+            bytes.extend_from_slice(&(count as u64).to_le_bytes());
+            bytes
+        };
+        let mut behind_header = header(raw.len() / (4 + CODEC_BODY_LEN));
+        behind_header.extend_from_slice(&raw);
+        let bodies = raw.chunks_exact(CODEC_BODY_LEN);
+        let mut framed = header(bodies.len());
+        for body in bodies {
+            framed.extend_from_slice(&(CODEC_BODY_LEN as u32).to_le_bytes());
+            framed.extend_from_slice(body);
+        }
+        let records: Vec<NdtRecord> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(asn, l, x, client))| NdtRecord {
+                timestamp: Timestamp(i as u64),
+                client: Ipv4(client),
+                asn: Asn(FOLD_ASNS[asn]),
+                latency_p5: Millis(EDGE_LATENCIES.get(l).copied().unwrap_or(x)),
+                jitter_p95: Millis(10.0),
+                retrans_fraction: 0.01,
+                download: Mbps(50.0),
+            })
+            .collect();
+        let valid = codec::encode_records(&records).bytes().to_vec();
+        prop_assert_eq!(valid.len(), CODEC_HEADER_LEN + records.len() * (4 + CODEC_BODY_LEN));
+        let truncated = valid.get(..cut % valid.len()).unwrap_or_default().to_vec();
+        let mut flipped = valid.clone();
+        if let Some(byte) = flipped.get_mut(flip_at % valid.len()) {
+            *byte ^= flip_mask;
+        }
+
+        let opts = StreamOptions::default();
+        for (label, bytes) in [
+            ("arbitrary bytes", raw.clone()),
+            ("arbitrary bytes behind a header", behind_header),
+            ("arbitrary frame bodies", framed),
+            ("valid encoding", valid),
+            ("truncated encoding", truncated),
+            ("flipped byte", flipped),
+        ] {
+            let Ok(corpus) = EncodedCorpus::from_bytes(bytes) else {
+                continue;
+            };
+            prop_assert!(label != "truncated encoding", "a truncated encoding was accepted");
+            prop_assert_eq!(corpus.decode_records().len(), corpus.len(), "{}", label);
+
+            let streamed = Pipeline::with_threads(1).run_streamed(|| corpus.chunks(k), opts);
+            let mut online = OnlineIdentifier::new(Pipeline::with_threads(1));
+            let mut chunks = corpus.chunks(k);
+            while let Some(chunk) = chunks.next_chunk() {
+                online.ingest(&chunk);
+            }
+            let snapshot = online.snapshot(opts);
+            prop_assert_eq!(streamed.records, corpus.len(), "{}", label);
+            prop_assert_eq!(snapshot.records, corpus.len(), "{}", label);
+            prop_assert_eq!(&snapshot.catalog, &streamed.catalog, "{}", label);
+            prop_assert_eq!(snapshot.bitmap.len(), streamed.bitmap.len(), "{}", label);
+            for i in 0..streamed.bitmap.len() {
+                prop_assert_eq!(snapshot.bitmap.get(i), streamed.bitmap.get(i), "{}: bit {}", label, i);
+            }
+        }
+    }
+}
