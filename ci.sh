@@ -49,7 +49,23 @@ write_timings() {
 # which lives in the sno-bench package, not the root package.
 run build cargo build --release --offline --workspace
 run test cargo test -q --offline --workspace
-run examples cargo build --examples --offline
+
+# Example gate: build the walkthroughs, then run each debug binary, so
+# one that panics or exits non-zero at run time fails here too.
+run_examples() {
+    local example
+    cargo build --examples --offline
+    for example in examples/*.rs; do
+        example=$(basename "$example" .rs)
+        echo "--> examples/${example}"
+        if ! "./target/debug/examples/${example}" >/dev/null; then
+            echo "example ${example} exited non-zero" >&2
+            return 1
+        fi
+    done
+}
+run examples run_examples
+
 run benches cargo build --benches --offline -p sno-bench
 run fmt cargo fmt --check
 run clippy cargo clippy --offline --workspace --all-targets -- -D warnings

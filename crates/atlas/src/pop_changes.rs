@@ -70,9 +70,9 @@ pub fn detect_all_pop_changes(
     min_segment: usize,
     threads: usize,
 ) -> Vec<PopChange> {
-    detect_all_pop_changes_in_series(
+    detect_in_buckets(
         &pop_rtt_series_by_probe(traceroutes),
-        sslcerts,
+        &cert_buckets(sslcerts),
         resolve,
         min_shift_ms,
         min_segment,
@@ -132,28 +132,8 @@ where
 }
 
 /// The shared core of the all-probe detectors: per-probe segmentations
-/// run on the worker pool over pre-built RTT series, merged in
-/// ascending probe order.
-pub fn detect_all_pop_changes_in_series(
-    series: &BTreeMap<ProbeId, Vec<(Timestamp, f64)>>,
-    sslcerts: &[SslCertRecord],
-    resolve: impl Fn(Ipv4) -> Option<String> + Sync,
-    min_shift_ms: f64,
-    min_segment: usize,
-    threads: usize,
-) -> Vec<PopChange> {
-    detect_in_buckets(
-        series,
-        &cert_buckets(sslcerts),
-        resolve,
-        min_shift_ms,
-        min_segment,
-        threads,
-    )
-}
-
-/// Innermost core: RTT series and cert histories already bucketed per
-/// probe.
+/// run on the worker pool over RTT series and cert histories already
+/// bucketed per probe, merged in ascending probe order.
 fn detect_in_buckets(
     series: &BTreeMap<ProbeId, Vec<(Timestamp, f64)>>,
     certs: &BTreeMap<ProbeId, Vec<SslCertRecord>>,
@@ -174,10 +154,9 @@ fn detect_in_buckets(
     per_probe.into_iter().flatten().collect()
 }
 
-/// Segment one probe's RTT series and attribute the shifts. The batch
-/// entry points and the incremental [`PopChangeMonitor`] both detect
-/// through here, so they share one detection path with identical
-/// results.
+/// Segment one probe's RTT series and attribute the shifts. Every entry
+/// point detects through here, so they share one detection path with
+/// identical results.
 fn detect_in_series(
     series: &[(Timestamp, f64)],
     probe: ProbeId,
@@ -203,102 +182,6 @@ fn detect_in_series(
             }
         })
         .collect()
-}
-
-/// Incremental front-end to [`detect_all_pop_changes`]: ingest
-/// traceroute and SSLCert chunks as they arrive, detect on demand.
-///
-/// Only the per-probe `(timestamp, rtt)` series and the cert records are
-/// resident — never the traceroutes. Monitors built over disjoint shards
-/// of a stream [`merge`](PopChangeMonitor::merge) into the state serial
-/// ingest builds, and [`detect`](PopChangeMonitor::detect) stably sorts
-/// each series by timestamp before segmenting (exactly as the batch
-/// series builders do), so detection over any ingest sharding is
-/// identical to [`detect_all_pop_changes`] over the materialized corpus.
-#[derive(Debug, Clone, Default)]
-pub struct PopChangeMonitor {
-    series: BTreeMap<ProbeId, Vec<(Timestamp, f64)>>,
-    sslcerts: Vec<SslCertRecord>,
-}
-
-impl PopChangeMonitor {
-    /// An empty monitor.
-    pub fn new() -> PopChangeMonitor {
-        PopChangeMonitor::default()
-    }
-
-    /// Ingest one chunk of traceroutes: each record's CGNAT-gateway RTT
-    /// (when present) joins its probe's series.
-    pub fn ingest_traceroutes(&mut self, chunk: &[TracerouteRecord]) {
-        for t in chunk {
-            if let Some(rtt) = t.cgnat_rtt() {
-                self.series
-                    .entry(t.probe)
-                    .or_default()
-                    .push((t.timestamp, rtt.0));
-            }
-        }
-    }
-
-    /// Drain a chunked traceroute stream into the monitor.
-    pub fn ingest_traceroute_chunks<C>(&mut self, mut stream: C)
-    where
-        C: RecordChunks<Item = TracerouteRecord>,
-    {
-        while let Some(chunk) = stream.next_chunk() {
-            self.ingest_traceroutes(&chunk);
-        }
-    }
-
-    /// Ingest one chunk of SSLCert observations (the PoP-history side).
-    pub fn ingest_sslcerts(&mut self, certs: &[SslCertRecord]) {
-        self.sslcerts.extend_from_slice(certs);
-    }
-
-    /// Merge another monitor (built over the *following* shard of the
-    /// stream) into this one.
-    pub fn merge(&mut self, other: PopChangeMonitor) {
-        for (probe, mut samples) in other.series {
-            self.series.entry(probe).or_default().append(&mut samples);
-        }
-        self.sslcerts.extend_from_slice(&other.sslcerts);
-    }
-
-    /// Probes with at least one RTT sample.
-    pub fn probes(&self) -> usize {
-        self.series.len()
-    }
-
-    /// RTT samples ingested across all probes.
-    pub fn samples(&self) -> usize {
-        self.series.values().map(Vec::len).sum()
-    }
-
-    /// Detect and attribute PoP changes over everything ingested so
-    /// far. Identical to [`detect_all_pop_changes`] over the
-    /// materialized corpus, at every thread count.
-    pub fn detect(
-        &self,
-        resolve: impl Fn(Ipv4) -> Option<String> + Sync,
-        min_shift_ms: f64,
-        min_segment: usize,
-        threads: usize,
-    ) -> Vec<PopChange> {
-        let mut series = self.series.clone();
-        for s in series.values_mut() {
-            // Stable sort, as in `pop_rtt_series_by_probe`, so any
-            // ingest sharding converges on the same series.
-            s.sort_by_key(|&(ts, _)| ts);
-        }
-        detect_all_pop_changes_in_series(
-            &series,
-            &self.sslcerts,
-            resolve,
-            min_shift_ms,
-            min_segment,
-            threads,
-        )
-    }
 }
 
 /// Find the PoP transition nearest to `at`, within the attribution
@@ -427,57 +310,6 @@ mod tests {
                 expect.len(),
                 "chunk {chunk_len} threads {threads}"
             );
-            for (a, b) in got.iter().zip(&expect) {
-                assert_eq!((a.probe, a.at, a.pops), (b.probe, b.at, b.pops));
-                assert_eq!(a.before_ms, b.before_ms);
-                assert_eq!(a.after_ms, b.after_ms);
-            }
-        }
-    }
-
-    #[test]
-    fn monitor_matches_batch_detection() {
-        let c = corpus();
-        let expect = detect_all_pop_changes(
-            &c.traceroutes,
-            &c.sslcerts,
-            sno_synth::atlas::reverse_dns,
-            8.0,
-            8,
-            1,
-        );
-        assert!(!expect.is_empty());
-        // Chunked serial ingest.
-        let mut monitor = PopChangeMonitor::new();
-        for chunk in c.traceroutes.chunks(517) {
-            monitor.ingest_traceroutes(chunk);
-        }
-        for chunk in c.sslcerts.chunks(64) {
-            monitor.ingest_sslcerts(chunk);
-        }
-        assert_eq!(
-            monitor.samples(),
-            pop_rtt_series_by_probe(&c.traceroutes)
-                .values()
-                .map(Vec::len)
-                .sum::<usize>()
-        );
-        // Sharded ingest merged in shard order.
-        let bounds = [0, c.traceroutes.len() / 3, c.traceroutes.len()];
-        let shards: Vec<PopChangeMonitor> = par::shard_map(2, 2, |i| {
-            let mut shard = PopChangeMonitor::new();
-            shard.ingest_traceroutes(&c.traceroutes[bounds[i]..bounds[i + 1]]);
-            shard
-        });
-        let mut merged = PopChangeMonitor::new();
-        for shard in shards {
-            merged.merge(shard);
-        }
-        merged.ingest_sslcerts(&c.sslcerts);
-        assert_eq!(merged.probes(), monitor.probes());
-        for (threads, m) in [(1usize, &monitor), (2, &merged), (8, &monitor)] {
-            let got = m.detect(sno_synth::atlas::reverse_dns, 8.0, 8, threads);
-            assert_eq!(got.len(), expect.len(), "threads {threads}");
             for (a, b) in got.iter().zip(&expect) {
                 assert_eq!((a.probe, a.at, a.pops), (b.probe, b.at, b.pops));
                 assert_eq!(a.before_ms, b.before_ms);

@@ -4,7 +4,8 @@ use sno_core::pipeline::Pipeline;
 use sno_core::stream::{StreamOptions, StreamedReport};
 use sno_synth::{AtlasCorpus, AtlasGenerator, MlabCorpus, MlabGenerator, SynthConfig};
 use sno_types::chunk::RecordChunks as _;
-use sno_types::{Operator, RecordBatch};
+use sno_types::records::NdtRecord;
+use sno_types::Operator;
 use std::sync::OnceLock;
 
 /// The chunk length the streaming paths use when the caller gave none.
@@ -19,15 +20,15 @@ pub const FIG4A_OPS: [Operator; 5] = [
     Operator::Oneweb,
 ];
 
-/// The Figure 4a corpus (columnar) and its per-record acceptance.
+/// The Figure 4a corpus and its per-record acceptance.
 ///
 /// The figure regenerates the five operators of interest over a
 /// one-year window with a raised session floor, so its corpus differs
 /// from the shared [`ReproContext::mlab`] one — cached here the same
 /// way, built through the chunked generator and [`Pipeline::run`].
 pub struct Fig4aState {
-    /// The regenerated corpus as a struct-of-arrays batch.
-    pub batch: RecordBatch,
+    /// The regenerated corpus.
+    pub records: Vec<NdtRecord>,
     /// Per-record acceptance from the pipeline run.
     pub accepted: Vec<Option<Operator>>,
 }
@@ -173,7 +174,7 @@ impl ReproContext {
                 .collect_records();
             let report = Pipeline::with_threads(self.threads()).run(&records);
             Fig4aState {
-                batch: RecordBatch::from_records(&records),
+                records,
                 accepted: report.accepted.unwrap_or_default(),
             }
         })

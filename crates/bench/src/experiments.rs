@@ -410,8 +410,7 @@ fn fig4a_row(
 fn fig4a(ctx: &ReproContext) -> String {
     // The figure's corpus and acceptance are cached on the context
     // (chunked generation, `Pipeline::run` at the context's thread
-    // setting, the corpus kept as a columnar batch); see
-    // `ReproContext::fig4a`.
+    // setting); see `ReproContext::fig4a`.
     let state = ctx.fig4a();
 
     let mut out = String::new();
@@ -427,10 +426,10 @@ fn fig4a(ctx: &ReproContext) -> String {
         "{:<12} {:>6} {:>16} {:>14}",
         "SNO", "days", "median-of-day", "p95 daily var"
     );
-    // One grouped columnar pass over the batch instead of one full scan
-    // per operator.
+    // One grouped pass over the corpus instead of one full scan per
+    // operator.
     let ops: Vec<Operator> = paper.iter().map(|&(op, _)| op).collect();
-    let mut by_op = analysis::stability_by_operator_batch(&state.batch, &state.accepted, &ops);
+    let mut by_op = analysis::stability_by_operator(&state.records, &state.accepted, &ops);
     for (op, paper_var) in paper {
         out.push_str(&fig4a_row(op, by_op.remove(&op), paper_var));
     }
@@ -1178,10 +1177,8 @@ mod tests {
             .generate_chunks_for(&FIG4A_OPS, 512)
             .collect_records();
         let report = sno_core::pipeline::Pipeline::new().run(&records);
-        let batch = sno_types::RecordBatch::from_records(&records);
         let accepted = report.accepted.expect("run keeps the dense vector");
-        let ops = FIG4A_OPS.to_vec();
-        let mut by_op = analysis::stability_by_operator_batch(&batch, &accepted, &ops);
+        let mut by_op = analysis::stability_by_operator(&records, &accepted, &FIG4A_OPS);
         let mut rendered = String::new();
         for op in FIG4A_OPS {
             rendered.push_str(&fig4a_row(op, by_op.remove(&op), 0.0));

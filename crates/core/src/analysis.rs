@@ -7,7 +7,7 @@
 
 use sno_stats::{daily_medians, timeseries::daily_variation_p95, DailyPoint, Ecdf, FiveNumber};
 use sno_types::records::NdtRecord;
-use sno_types::{AccessKind, Operator, OrbitClass, RecordBatch};
+use sno_types::{AccessKind, Operator, OrbitClass};
 use std::collections::BTreeMap;
 
 /// The four transport populations of Figure 4c.
@@ -143,37 +143,6 @@ pub fn stability_by_operator(
         if let Some(op) = acc {
             if let Some(bucket) = samples.get_mut(op) {
                 bucket.push((rec.timestamp, rec.latency_p5.0));
-            }
-        }
-    }
-    samples
-        .into_iter()
-        .map(|(op, s)| {
-            let daily = daily_medians(&s);
-            let variation = daily_variation_p95(&daily);
-            (op, (daily, variation))
-        })
-        .collect()
-}
-
-/// [`stability_by_operator`] over a columnar batch: the grouping pass
-/// streams the timestamp and latency columns against the acceptance
-/// vector instead of walking records. Output is identical to the row
-/// variant over the reconstructed records (pinned by the test below
-/// and `tests/columnar_determinism.rs`).
-pub fn stability_by_operator_batch(
-    batch: &RecordBatch,
-    accepted: &[Option<Operator>],
-    ops: &[Operator],
-) -> BTreeMap<Operator, (Vec<DailyPoint>, Option<f64>)> {
-    let mut samples: BTreeMap<Operator, Vec<(sno_types::Timestamp, f64)>> =
-        ops.iter().map(|&op| (op, Vec::new())).collect();
-    let timestamps = batch.timestamps();
-    let latencies = batch.latency_p5();
-    for ((acc, &ts), &lat) in accepted.iter().zip(timestamps).zip(latencies) {
-        if let Some(op) = acc {
-            if let Some(bucket) = samples.get_mut(op) {
-                bucket.push((ts, lat));
             }
         }
     }
@@ -362,16 +331,6 @@ mod tests {
             assert_eq!(grouped[&op].0, daily, "{op:?}");
             assert_eq!(grouped[&op].1, variation, "{op:?}");
         }
-    }
-
-    #[test]
-    fn columnar_stability_matches_row_stability() {
-        let (corpus, accepted) = fixture();
-        let ops = [Operator::Starlink, Operator::Viasat, Operator::Hughes];
-        let row = stability_by_operator(&corpus.records, accepted, &ops);
-        let batch = RecordBatch::from_records(&corpus.records);
-        let columnar = stability_by_operator_batch(&batch, accepted, &ops);
-        assert_eq!(columnar, row);
     }
 
     #[test]

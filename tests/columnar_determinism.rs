@@ -1,11 +1,7 @@
 //! Row/column equivalence over a full generated corpus: the columnar
-//! batch constructors, the binary corpus codec, and the grouped
-//! stability analysis must reproduce the row-at-a-time results bit for
-//! bit.
+//! batch constructors and the binary corpus codec must reproduce the
+//! row-at-a-time records bit for bit.
 
-use sno_bench::FIG4A_OPS;
-use sno_dissect::core::analysis;
-use sno_dissect::core::pipeline::Pipeline;
 use sno_dissect::synth::{MlabGenerator, SynthConfig};
 use sno_dissect::types::chunk::RecordChunks;
 use sno_dissect::types::{codec, RecordBatch};
@@ -54,16 +50,4 @@ fn codec_round_trips_a_generated_corpus() {
     let reparsed = codec::EncodedCorpus::from_bytes(encoded.bytes().to_vec())
         .expect("self-produced bytes parse");
     assert_eq!(reparsed.decode_records(), corpus.records);
-}
-
-#[test]
-fn columnar_stability_matches_row_stability() {
-    let corpus = MlabGenerator::new(cfg()).generate();
-    let report = Pipeline::with_threads(1).run(&corpus.records);
-    let accepted = report.accepted.expect("run keeps the dense vector");
-    let batch = RecordBatch::from_records(&corpus.records);
-    let ops = FIG4A_OPS.to_vec();
-    let row = analysis::stability_by_operator(&corpus.records, &accepted, &ops);
-    let col = analysis::stability_by_operator_batch(&batch, &accepted, &ops);
-    assert_eq!(col, row);
 }

@@ -4,7 +4,6 @@ use sno_check::prelude::*;
 use sno_dissect::netsim::path::{PathDynamics, StaticPath, SteppedPath};
 use sno_dissect::netsim::tcp::{TcpConfig, TcpFlow};
 use sno_dissect::stats::{detect_mean_shifts, Ecdf, FiveNumber, Kde};
-use sno_dissect::synth::{MlabGenerator, SynthConfig};
 use sno_dissect::types::{Asn, Ipv4, Operator, Rng};
 use std::collections::BTreeMap;
 
@@ -331,87 +330,6 @@ proptest! {
         }
     }
 
-    /// `modes_on_grid` decides its comparisons on bounded core sums and
-    /// sums whole windows only where they cannot tell; its count must
-    /// equal the whole-grid count for every sample shape, bandwidth,
-    /// threshold and grid, a NaN (of either sign) or ±inf sample included.
-    #[test]
-    fn kde_modes_match_whole_grid_count(
-        shape in 0..5usize,
-        seed in any::<u64>(),
-        n in 1..200usize,
-        points in 2..1001usize,
-        lo in -100.0..400.0f64,
-        span in 1.0..1200.0f64,
-        bandwidth in 0..6usize,
-        special in 0..8usize,
-    ) {
-        let hi = lo + span;
-        let step = span / (points - 1) as f64;
-        let mut rng = Rng::new(seed);
-        // The wide arms fit up to 2,000 mixture samples, as real buckets
-        // do, with runs of hundreds of steps.
-        let (shape, n) = if bandwidth >= 4 {
-            (0, 1 + rng.below(2000) as usize)
-        } else {
-            (shape, n)
-        };
-        let mut data: Vec<f64> = match shape {
-            // A LEO/GEO-like normal mixture.
-            0 => (0..n)
-                .map(|i| if i % 3 == 0 { rng.normal_with(56.0, 5.0) } else { rng.normal_with(650.0, 60.0) })
-                .collect(),
-            // Duplicates on a few neighbouring grid points.
-            1 => {
-                let base = rng.below(points as u64);
-                (0..n)
-                    .map(|_| lo + step * (base + rng.below(3)).min(points as u64 - 1) as f64)
-                    .collect()
-            }
-            // Pairs symmetric about grid midpoints.
-            2 => (0..n.div_ceil(2))
-                .flat_map(|_| {
-                    let mid = lo + step * rng.below(points as u64 - 1) as f64 + step / 2.0;
-                    let offset = rng.range_f64(0.0, 2.0 * step);
-                    [mid - offset, mid + offset]
-                })
-                .collect(),
-            // All equal.
-            3 => vec![rng.range_f64(lo, hi); n],
-            // Uniform over the grid and a margin around it.
-            _ => (0..n).map(|_| rng.range_f64(lo - 50.0, hi + 50.0)).collect(),
-        };
-        match special {
-            // A negative NaN sorts first and empties every window.
-            4 => data.push(-f64::NAN),
-            5 => data.push(f64::NAN),
-            6 => data.push(f64::INFINITY),
-            7 => data.push(f64::NEG_INFINITY),
-            _ => {}
-        }
-        let kde = match bandwidth {
-            0 => Kde::fit(&data),
-            // Narrow enough that windows reach past cores between points.
-            1 => Kde::fit_with_bandwidth(&data, step / 7.0),
-            2 => Kde::fit_with_bandwidth(&data, step * 0.3),
-            3 => Kde::fit_with_bandwidth(&data, step * 3.0),
-            // Cores of ~640 steps.
-            4 => Kde::fit_with_bandwidth(&data, step * 40.0),
-            // The bandwidths of real MEO and GEO buckets, in ms.
-            _ => Kde::fit_with_bandwidth(&data, rng.range_f64(20.0, 150.0)),
-        }
-        .unwrap();
-        let grid = kde.density_grid(lo, hi, points);
-        for min_height in [0.0, 0.2, 0.5, 1.0] {
-            prop_assert_eq!(
-                kde.modes_on_grid(lo, hi, points, min_height),
-                whole_grid_modes(&grid, min_height),
-                "min_height {min_height}, bandwidth {}",
-                kde.bandwidth()
-            );
-        }
-    }
-
     /// Changepoint detection finds no shifts in a constant series, no
     /// matter its level, length, or the threshold.
     #[test]
@@ -424,57 +342,6 @@ proptest! {
         let shifts = detect_mean_shifts(&series, min_shift, 5);
         prop_assert!(shifts.is_empty(), "found {} shifts", shifts.len());
     }
-}
-
-/// The whole-grid mode count `Kde::modes_on_grid` must reproduce: local
-/// maxima above `min_height` × the peak, over every `density_grid` value.
-fn whole_grid_modes(grid: &[(f64, f64)], min_height: f64) -> usize {
-    let peak = grid.iter().map(|&(_, d)| d).fold(0.0_f64, f64::max);
-    if peak <= 0.0 {
-        return 0;
-    }
-    let threshold = peak * min_height;
-    (1..grid.len() - 1)
-        .filter(|&i| {
-            let d = grid[i].1;
-            d > threshold && d >= grid[i - 1].1 && d > grid[i + 1].1
-        })
-        .count()
-}
-
-/// Every (operator, ASN) bucket of a small capped corpus, the way the
-/// identification pipeline checks them (Figure 2's grid and threshold):
-/// Starlink next to SES, TelAlaska and O3b buckets whose bandwidths of
-/// 13-60 ms give runs of hundreds of grid steps.
-#[test]
-fn kde_modes_match_whole_grid_count_on_capped_corpus_buckets() {
-    let config = SynthConfig {
-        min_sessions: 3_000,
-        ..SynthConfig::test_corpus()
-    };
-    let (corpus, truth) = MlabGenerator::new(config).generate_with_truth();
-    let mut buckets: BTreeMap<(Operator, Asn), Vec<f64>> = BTreeMap::new();
-    for (rec, t) in corpus.records.iter().zip(&truth) {
-        buckets
-            .entry((t.operator, rec.asn))
-            .or_default()
-            .push(rec.latency_p5.0);
-    }
-    let mut widest = 0.0_f64;
-    for ((operator, asn), latencies) in &buckets {
-        let kde = Kde::fit(latencies).unwrap();
-        widest = widest.max(kde.bandwidth());
-        let grid = kde.density_grid(0.0, 1200.0, 400);
-        assert_eq!(
-            kde.modes_on_grid(0.0, 1200.0, 400, 0.2),
-            whole_grid_modes(&grid, 0.2),
-            "{operator:?} {asn:?}: n {}, bandwidth {}",
-            latencies.len(),
-            kde.bandwidth()
-        );
-    }
-    assert!(buckets.len() > 20, "{} buckets", buckets.len());
-    assert!(widest > 13.0, "widest bandwidth {widest} ms");
 }
 
 /// Curated ASNs of every access kind (Starlink LEO, Viasat GEO, the SES
