@@ -126,16 +126,24 @@ impl TcpStats {
     /// the `TCP_Info`-style jitter the paper normalises by the p5
     /// latency. `None` with fewer than two polls.
     pub fn jitter_p95(&self) -> Option<Millis> {
-        if self.rtt_samples.len() < 2 {
-            return None;
-        }
-        let floor = self
-            .rtt_samples
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        let excursions: Vec<f64> = self.rtt_samples.iter().map(|&r| r - floor).collect();
-        sno_stats::quantile(&excursions, 0.95).map(Millis)
+        jitter_of_sorted(self.sorted_polls())
+    }
+
+    /// [`TcpStats::latency_p5`] and [`TcpStats::jitter_p95`] together,
+    /// bit for bit, from one sort of the polls: the pair an NDT record
+    /// stores. `None` with fewer than two polls.
+    pub fn latency_and_jitter(&self) -> Option<(Millis, Millis)> {
+        let sorted = self.sorted_polls();
+        let p5 = (!sorted.is_empty()).then(|| sno_stats::quantile_of_sorted(&sorted, 0.05))?;
+        Some((Millis(p5), jitter_of_sorted(sorted)?))
+    }
+
+    /// The RTT polls in ascending order.
+    fn sorted_polls(&self) -> Vec<f64> {
+        let mut sorted = self.rtt_samples.clone();
+        debug_assert!(sorted.iter().all(|x| !x.is_nan()), "NaN RTT poll");
+        sorted.sort_by(f64::total_cmp);
+        sorted
     }
 
     /// Fraction of sent bytes that were retransmissions.
@@ -154,6 +162,21 @@ impl TcpStats {
             Millis(self.duration_secs * 1_000.0),
         )
     }
+}
+
+/// The p95 excursion of ascending `sorted` polls above their minimum;
+/// `None` with fewer than two. Subtracting the minimum is monotone, so
+/// the excursions stay sorted and need no second sort; no excursion is
+/// −0.0, since `r − m` is +0.0 for `r = m` and nonzero for `r > m`.
+fn jitter_of_sorted(mut sorted: Vec<f64>) -> Option<Millis> {
+    if sorted.len() < 2 {
+        return None;
+    }
+    let floor = sorted[0];
+    for r in &mut sorted {
+        *r -= floor;
+    }
+    Some(Millis(sno_stats::quantile_of_sorted(&sorted, 0.95)))
 }
 
 /// A runnable TCP flow.
@@ -545,6 +568,46 @@ mod tests {
             );
             assert_eq!(pepped.pkts_sent, pepped.pkts_delivered + pepped.pkts_lost);
             assert!(pepped.pkts_retrans_visible <= pepped.pkts_lost);
+        }
+    }
+
+    #[test]
+    fn one_sort_gives_latency_and_jitter_bit_for_bit() {
+        // The definitions: the p5 of the polls, and the p95 of each
+        // poll's excursion above the minimum, taken in poll order.
+        let reference = |polls: &[f64]| {
+            let p5 = sno_stats::quantile(polls, 0.05);
+            let floor = polls.iter().cloned().fold(f64::INFINITY, f64::min);
+            let excursions: Vec<f64> = polls.iter().map(|&r| r - floor).collect();
+            let p95 = sno_stats::quantile(&excursions, 0.95).filter(|_| polls.len() >= 2);
+            (p5.map(f64::to_bits), p95.map(f64::to_bits))
+        };
+        let bits = |m: Option<Millis>| m.map(|m| m.0.to_bits());
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![42.0],
+            vec![30.0, 30.0],
+            vec![5.0, 1e-300, 3.0, 3.0, 0.1 + 0.2, 0.3],
+        ];
+        for seed in 0..24 {
+            let path = StaticPath {
+                rtt_ms: 20.0 + 40.0 * seed as f64,
+                loss: 0.002 * (seed % 5) as f64,
+                rate_mbps: 10.0 + 7.0 * seed as f64,
+                buffer_ms: 50.0 + 25.0 * (seed % 7) as f64,
+            };
+            cases.push(run(&path, TcpConfig::ndt(), seed).rtt_samples);
+        }
+        let mut stats = run(&StaticPath::clean(20.0, 10.0), TcpConfig::ndt(), 0);
+        for polls in cases {
+            let want = reference(&polls);
+            stats.rtt_samples = polls;
+            assert_eq!((bits(stats.latency_p5()), bits(stats.jitter_p95())), want);
+            let pair = stats.latency_and_jitter();
+            assert_eq!(
+                pair.map(|(p5, p95)| (p5.0.to_bits(), p95.0.to_bits())),
+                want.0.zip(want.1)
+            );
         }
     }
 

@@ -64,7 +64,7 @@ impl BentPipe {
     /// within an epoch and jumps at epoch boundaries — exactly the
     /// sawtooth that shows up as LEO jitter.
     pub fn propagation_rtt(&self, t_secs: f64) -> Option<Millis> {
-        let epoch_start = self.generation(t_secs) as f64 * HANDOFF_PERIOD_SECS;
+        let epoch_start = self.epoch_start(t_secs);
         let vis = self
             .shell
             .best_visible(self.user, epoch_start, self.min_elevation_deg)?;
@@ -72,6 +72,20 @@ impl BentPipe {
         let up = vis.slant;
         let down = sat.distance_to(self.gateway);
         Some(Millis::light_over(Kilometers(2.0 * (up.0 + down.0))))
+    }
+
+    /// Whether a satellite clears the mask at `t_secs`: exactly
+    /// `propagation_rtt(t_secs).is_some()`, through the existence query
+    /// [`Shell::any_visible`] instead of the best-satellite search.
+    pub fn covered_at(&self, t_secs: f64) -> bool {
+        self.shell
+            .any_visible(self.user, self.epoch_start(t_secs), self.min_elevation_deg)
+    }
+
+    /// Start of the handoff epoch `t_secs` falls in, seconds: the
+    /// instant satellite selection is frozen at.
+    fn epoch_start(&self, t_secs: f64) -> f64 {
+        self.generation(t_secs) as f64 * HANDOFF_PERIOD_SECS
     }
 }
 

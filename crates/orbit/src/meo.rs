@@ -6,6 +6,7 @@
 //! happens, recovery is harder because the ring is sparse (the paper's
 //! explanation for MEO's heavy jitter tail in Figure 4b).
 
+use crate::shell::peak_candidates;
 use crate::vec3::{elevation_deg, Vec3, MU_EARTH};
 use sno_types::Kilometers;
 use std::f64::consts::TAU;
@@ -46,22 +47,43 @@ impl MeoRing {
         let a = self.orbit_radius_km();
         // Equatorial ring: position is a longitude that advances at the
         // mean motion minus Earth rotation (ECEF).
-        let angle = TAU * f64::from(index) / f64::from(self.sats)
-            + (TAU / self.period_secs() - crate::vec3::EARTH_ROTATION_RAD_S) * t_secs;
+        let angle = TAU * f64::from(index) / f64::from(self.sats) + self.drift(t_secs);
         Vec3::new(a * angle.cos(), a * angle.sin(), 0.0)
+    }
+
+    /// ECEF longitude of satellite 0 at `t_secs`, radians.
+    fn drift(&self, t_secs: f64) -> f64 {
+        (TAU / self.period_secs() - crate::vec3::EARTH_ROTATION_RAD_S) * t_secs
     }
 
     /// The highest-elevation satellite above `min_elevation_deg` seen
     /// from `observer`, with its slant range. `None` outside the
-    /// coverage belt.
+    /// coverage belt. Equal elevations resolve to the lowest index, as a
+    /// scan of `0..sats` would.
+    ///
+    /// Exact without a scan. The ring is equatorial, so satellite `i`
+    /// at ECEF longitude θᵢ sits at central angle ψ with cos ψ =
+    /// cos(lat)·cos(θᵢ − λ) from an observer at (lat, λ), and elevation
+    /// falls as ψ grows: the satellite nearest the observer's longitude
+    /// is the best. It is evaluated alone unless λ lies within 0.01 of a
+    /// slot of the midpoint between two satellites; then both its
+    /// neighbours are evaluated too, in ascending index order. Outside
+    /// that band the nearest satellite's cos ψ beats its neighbours' by
+    /// at least cos(lat)·(cos(0.49·Δ) − cos(0.51·Δ)), about
+    /// 10⁻³·cos(lat) for O3b's 18° spacing Δ. A satellite at or above
+    /// the horizon has cos ψ ≥ r/a ≈ 0.44, so wherever a mask at or
+    /// above the horizon can be cleared, cos(lat) ≥ 0.44 and the margin
+    /// dwarfs rounding; rounding moves λ's slot by about 10⁻¹⁰ even at
+    /// the 1.7·10⁹ s of the corpus window.
     pub fn best_visible(
         &self,
         observer: Vec3,
         t_secs: f64,
         min_elevation_deg: f64,
     ) -> Option<(u32, Kilometers, f64)> {
+        let slot = (observer.y.atan2(observer.x) - self.drift(t_secs)) / TAU * f64::from(self.sats);
         let mut best: Option<(u32, Kilometers, f64)> = None;
-        for index in 0..self.sats {
+        for index in peak_candidates(slot, self.sats) {
             let sat = self.sat_position(index, t_secs);
             let el = elevation_deg(observer, sat);
             if el < min_elevation_deg {

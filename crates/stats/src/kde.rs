@@ -122,20 +122,6 @@ impl Kde {
         kernel_sum(x, self.bandwidth, &self.samples) * self.norm()
     }
 
-    /// Density evaluated on `points` equally spaced points spanning
-    /// `[lo, hi]`.
-    ///
-    /// Delegates to the batched [`Kde::density_grid`], so a whole-grid
-    /// evaluation costs one windowed sweep instead of `points` full
-    /// kernel sums — with values bitwise-identical to calling
-    /// [`Kde::density`] per point.
-    ///
-    /// # Panics
-    /// Panics if `points < 2` or `lo >= hi`.
-    pub fn grid(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        self.density_grid(lo, hi, points)
-    }
-
     /// Batched grid evaluation: the Gaussian sum over all `points`
     /// equally spaced grid points in one pass over the sorted sample.
     ///
@@ -175,12 +161,19 @@ impl Kde {
     }
 
     /// The grid point with the highest density (the distribution's main
-    /// mode, up to grid resolution).
-    pub fn mode_on_grid(&self, lo: f64, hi: f64, points: usize) -> f64 {
-        self.grid(lo, hi, points)
+    /// mode, up to grid resolution), over [`Kde::density_grid`]'s
+    /// values; the last of equal maxima. `None` unless that peak is
+    /// positive, the rule [`Kde::modes_on_grid`] applies: a grid farther
+    /// than the density window from every sample has no mode.
+    ///
+    /// # Panics
+    /// Panics if `points < 2` or `lo >= hi`.
+    pub fn mode_on_grid(&self, lo: f64, hi: f64, points: usize) -> Option<f64> {
+        self.density_grid(lo, hi, points)
             .into_iter()
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map_or(lo, |(x, _)| x)
+            .filter(|&(_, d)| d > 0.0)
+            .map(|(x, _)| x)
     }
 
     /// Fraction of the *sample* falling inside `[lo, hi)`: the count of
@@ -329,7 +322,7 @@ mod tests {
         let samples = [10.0, 12.0, 11.0, 9.5, 10.5, 30.0, 31.0, 29.0];
         let kde = Kde::fit(&samples).unwrap();
         // Trapezoidal integration over a generous range.
-        let grid = kde.grid(-50.0, 100.0, 4_000);
+        let grid = kde.density_grid(-50.0, 100.0, 4_000);
         let mut integral = 0.0;
         for w in grid.windows(2) {
             let dx = w[1].0 - w[0].0;
@@ -344,8 +337,22 @@ mod tests {
         let mut rng = sno_types::Rng::new(2023);
         let samples: Vec<f64> = (0..500).map(|_| rng.normal_with(56.0, 4.0)).collect();
         let kde = Kde::fit(&samples).unwrap();
-        let mode = kde.mode_on_grid(0.0, 200.0, 800);
+        let mode = kde.mode_on_grid(0.0, 200.0, 800).unwrap();
         assert!((mode - 56.0).abs() < 2.0, "mode {mode}");
+    }
+
+    #[test]
+    fn grid_beyond_every_window_has_no_mode() {
+        // Samples near 1,000 ms: every point of a [0, 100] grid lies
+        // more than √1500 bandwidths away, so the grid is all +0.0.
+        let samples: Vec<f64> = (0..200).map(|i| 990.0 + (i % 21) as f64).collect();
+        let kde = Kde::fit(&samples).unwrap();
+        assert!(kde
+            .density_grid(0.0, 100.0, 101)
+            .iter()
+            .all(|&(_, d)| d == 0.0));
+        assert_eq!(kde.mode_on_grid(0.0, 100.0, 101), None);
+        assert_eq!(kde.modes_on_grid(0.0, 100.0, 101, 0.2), 0);
     }
 
     #[test]
@@ -442,10 +449,6 @@ mod tests {
         for (x, d) in kde.density_grid(-500.0, 2_000.0, 1_000) {
             assert_eq!(d.to_bits(), kde.density(x).to_bits(), "x {x}");
         }
-        assert_eq!(
-            kde.grid(0.0, 1_200.0, 400),
-            kde.density_grid(0.0, 1_200.0, 400)
-        );
     }
 
     #[test]
@@ -468,6 +471,7 @@ mod tests {
         samples.extend((0..300).map(|i| 650.0 + (i % 40) as f64));
         let base = Kde::fit(&samples).unwrap();
         let mode = base.mode_on_grid(0.0, 1200.0, 400);
+        assert!(mode.is_some());
         assert_eq!(base.modes_on_grid(0.0, 1200.0, 400, 0.2), 2);
         // A sign-bit NaN sorts first, ahead of every window, and any of
         // the four would make σ NaN if it were summed.

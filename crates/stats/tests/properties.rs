@@ -45,14 +45,18 @@ proptest! {
         prop_assert!(kde.bandwidth() > 0.0);
     }
 
-    /// The gridded mode lies inside the grid and carries maximal density
-    /// among grid points.
+    /// The gridded mode lies inside the grid and carries maximal, and
+    /// positive, density among grid points; there is none only when
+    /// every grid point has zero density.
     #[test]
     fn kde_mode_is_argmax_on_grid(data in prop::collection::vec(0.0..500.0f64, 2..50)) {
         let kde = Kde::fit(&data).unwrap();
         let mode = kde.mode_on_grid(0.0, 500.0, 101);
-        prop_assert!((0.0..=500.0).contains(&mode));
-        let mode_density = kde.density(mode);
+        let mode_density = mode.map_or(0.0, |m| kde.density(m));
+        if let Some(m) = mode {
+            prop_assert!((0.0..=500.0).contains(&m));
+            prop_assert!(mode_density > 0.0);
+        }
         for i in 0..101 {
             let x = i as f64 * 5.0;
             prop_assert!(kde.density(x) <= mode_density + 1e-12);

@@ -282,8 +282,7 @@ impl MlabGenerator {
             let orbital_t = (u64::from(day.0) * SECS_PER_DAY + sec_of_day) as f64;
             let stats = flow.run(&path, orbital_t, rng);
 
-            let (Some(latency_p5), Some(jitter_p95)) = (stats.latency_p5(), stats.jitter_p95())
-            else {
+            let Some((latency_p5, jitter_p95)) = stats.latency_and_jitter() else {
                 continue; // total outage; M-Lab would record nothing
             };
             // A limited host pool per prefix makes repeat tests from the

@@ -116,17 +116,16 @@ pub const MLAB_SITES: &[GeoPoint] = &[
     }, // Johannesburg
 ];
 
-/// Nearest point of `candidates` to `from`.
+/// Nearest point of `candidates` to `from`; the first of equally near
+/// ones. One haversine per candidate.
 pub fn nearest(from: GeoPoint, candidates: &[GeoPoint]) -> GeoPoint {
-    *candidates
+    candidates
         .iter()
-        .min_by(|a, b| {
-            let da = haversine_km(from, **a).0;
-            let db = haversine_km(from, **b).0;
-            da.total_cmp(&db)
-        })
+        .map(|&c| (haversine_km(from, c).0, c))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
         // sno-lint: allow(unwrap-in-lib): callers pass the static gateway/PoP tables, never empty
         .expect("non-empty candidate list")
+        .1
 }
 
 /// The satellite (or wire) segment of a session path.
@@ -134,9 +133,10 @@ enum Segment {
     Leo {
         pipe: BentPipe,
         /// Memo of the last handoff epoch's propagation RTT: the flow
-        /// model polls the path every round, but the answer only changes
-        /// at 15-second epoch boundaries, and a full constellation scan
-        /// per poll would dominate corpus generation.
+        /// model polls the path every round, ~130 times per 10-second
+        /// session, but the answer only changes at 15-second epoch
+        /// boundaries. So a session runs one `Shell::best_visible`
+        /// search per epoch it touches (one or two), not one per poll.
         memo: std::cell::RefCell<Option<(u64, Option<f64>)>>,
     },
     Meo(MeoAccess),
@@ -293,11 +293,11 @@ impl ClientPath {
                     STARLINK_SHELL
                 };
                 // The downlink gateway sits near the client (gateway
-                // networks are dense); backhaul gateway → egress is part
-                // of the overhead via `tail` only when the egress is the
-                // serving PoP, so add the extra hop here.
-                let gateway = nearest(client, egresses);
-                let gw = if haversine_km(client, gateway).0 > 1_500.0 {
+                // networks are dense): at the nearest egress, `egress`.
+                // Backhaul gateway → egress is part of the overhead via
+                // `tail` only when the egress is the serving PoP, so add
+                // the extra hop here.
+                let gw = if haversine_km(client, egress).0 > 1_500.0 {
                     // No nearby egress: gateway lands near the client and
                     // traffic backhauls over fibre (OneWeb's US-only
                     // egress; Starlink Philippines → Tokyo).
@@ -306,11 +306,13 @@ impl ClientPath {
                         (client.lon - 2.0).clamp(-179.9, 179.9),
                     )
                 } else {
-                    gateway
+                    egress
                 };
                 let pipe = BentPipe::new(shell, client, gw);
                 // Validate coverage at a sample instant.
-                pipe.propagation_rtt(0.0)?;
+                if !pipe.covered_at(0.0) {
+                    return None;
+                }
                 let backhaul = terrestrial_rtt(gw, egress).0;
                 return Some(ClientPath {
                     segment: Segment::Leo {
