@@ -109,8 +109,8 @@ fi
 # incremental OnlineIdentifier, then run the batch streamed pipeline
 # over the same corpus and fail on any verdict mismatch (acceptance
 # bits, catalog, thresholds, per-operator latencies, rendered report).
-# Also snapshots a second time, after the no-op compact(), and fails if
-# that answer diverges from the batch run. The steady-state snapshot latency itself
+# Also snapshots a second time and fails if that answer diverges from
+# the batch run. The steady-state snapshot latency itself
 # is budgeted in the perf gate above: BUDGETS in repro.rs caps
 # online_snapshot_steady (the incremental, post-warm-up snapshot) at an
 # absolute ceiling, so snapshot() silently regressing back to

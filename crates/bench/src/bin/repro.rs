@@ -236,24 +236,14 @@ fn run_bench_mode(config: SynthConfig, chunk: Option<usize>, out_path: &str) {
     let online_group = group.finish();
 
     // Resident-log gauge: the per-record bytes the identifier holds for
-    // deciding records later (the 2-byte slot column), right after
-    // ingest and after a snapshot plus the no-op compact. Both names
-    // stay so that snapshots remain comparable with older ones; they
-    // are machine-independent, so they ride in the raw-compared memory
+    // deciding records later (the 2-byte slot column) after ingest. It
+    // is machine-independent, so it rides in the raw-compared memory
     // group.
-    let mut compacted = loaded.clone();
-    let _ = compacted.snapshot(online_opts);
-    compacted.compact();
-    for (name, bytes) in [
-        ("online_log_mb", loaded.resident_log_bytes()),
-        ("online_log_compacted_mb", compacted.resident_log_bytes()),
-    ] {
-        mem_results.push(BenchResult {
-            name: name.to_string(),
-            iters_per_sample: 1,
-            sample_ms: vec![bytes as f64 / (1024.0 * 1024.0)],
-        });
-    }
+    mem_results.push(BenchResult {
+        name: "online_log_mb".to_string(),
+        iters_per_sample: 1,
+        sample_ms: vec![loaded.resident_log_bytes() as f64 / (1024.0 * 1024.0)],
+    });
     if let Some(ms) = online_group
         .results
         .iter()
@@ -627,16 +617,14 @@ fn run_online(config: SynthConfig, chunk: Option<usize>, verify: bool, progress:
     };
     let generator = MlabGenerator::new(config.clone());
     let (mut online, chunks) = ingest_corpus(&generator, config.threads, chunk_len, progress);
-    let resident_before = online.resident_log_bytes();
     let snapshot = online.snapshot(opts);
-    online.compact();
     let text = streamed_report_text(&snapshot, config.scale);
     println!(
         "==== online: {} sessions ingested in {chunks} chunks of <= {chunk_len} ====",
         online.ingested()
     );
     println!(
-        "resident log: {resident_before} bytes ingested -> {} bytes after snapshot+compact (epoch {})",
+        "resident log: {} bytes after snapshot (epoch {})",
         online.resident_log_bytes(),
         online.accept_epoch()
     );
@@ -678,8 +666,8 @@ fn run_online(config: SynthConfig, chunk: Option<usize>, verify: bool, progress:
     if text != batch_text {
         mismatches.push("rendered reports are not byte-identical".to_string());
     }
-    // A second snapshot, after the (no-op) compact, must answer
-    // byte-identically from the kept accept state.
+    // A second snapshot must answer byte-identically from the kept
+    // accept state.
     let again = online.snapshot(opts);
     if streamed_report_text(&again, config.scale) != batch_text {
         mismatches.push("second snapshot diverges from the batch run".to_string());

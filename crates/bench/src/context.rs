@@ -2,6 +2,7 @@
 
 use sno_core::pipeline::Pipeline;
 use sno_core::stream::{StreamOptions, StreamedReport};
+use sno_synth::mlab::SessionTruth;
 use sno_synth::{AtlasCorpus, AtlasGenerator, MlabCorpus, MlabGenerator, SynthConfig};
 use sno_types::chunk::RecordChunks as _;
 use sno_types::records::NdtRecord;
@@ -60,7 +61,7 @@ pub struct ReproContext {
     config: SynthConfig,
     chunk: Option<usize>,
     progress_every: usize,
-    mlab: OnceLock<MlabCorpus>,
+    mlab: OnceLock<(MlabCorpus, Vec<SessionTruth>)>,
     report: OnceLock<StreamedReport>,
     streamed: OnceLock<StreamedReport>,
     atlas: OnceLock<AtlasCorpus>,
@@ -127,10 +128,20 @@ impl ReproContext {
         self.config.threads
     }
 
-    /// The NDT corpus (generated on first call).
+    /// The NDT corpus (generated on first call, with its ground truth).
     pub fn mlab(&self) -> &MlabCorpus {
+        &self.mlab_with_truth().0
+    }
+
+    /// The generator's per-record ground truth for [`ReproContext::mlab`]
+    /// (index `i` describes record `i`), which the pipeline never sees.
+    pub(crate) fn truth(&self) -> &[SessionTruth] {
+        &self.mlab_with_truth().1
+    }
+
+    fn mlab_with_truth(&self) -> &(MlabCorpus, Vec<SessionTruth>) {
         self.mlab
-            .get_or_init(|| MlabGenerator::new(self.config.clone()).generate())
+            .get_or_init(|| MlabGenerator::new(self.config.clone()).generate_with_truth())
     }
 
     /// The pipeline report over the materialized NDT corpus, with the

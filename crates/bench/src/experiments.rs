@@ -1014,9 +1014,9 @@ fn coverage(_ctx: &ReproContext) -> String {
 // sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn ablation_filter(ctx: &ReproContext) -> String {
     use sno_core::accuracy::{score, Confusion, Truth};
-    let (corpus, raw) = sno_synth::MlabGenerator::new(ctx.config().clone()).generate_with_truth();
-    let truth: Vec<Truth> = raw.iter().map(|t| (t.operator, t.kind)).collect();
-    let report = sno_core::pipeline::Pipeline::with_threads(ctx.threads()).run(&corpus.records);
+    let corpus = ctx.mlab();
+    let truth: Vec<Truth> = ctx.truth().iter().map(|t| (t.operator, t.kind)).collect();
+    let report = ctx.report();
     let accepted = report.accepted.as_deref().unwrap_or_default();
 
     // Arm A: the full pipeline (relaxed filtering), as published.

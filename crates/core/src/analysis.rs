@@ -90,31 +90,6 @@ pub fn latency_table(by_op: &BTreeMap<Operator, Vec<f64>>) -> Vec<(Operator, Fiv
     out
 }
 
-/// [`latency_table`] plus per-operator latency ECDFs from a *single*
-/// sort per operator: the samples are sorted once and both the
-/// five-number summary and the ECDF are built over the shared sorted
-/// vector ([`FiveNumber::from_sorted`] / [`Ecdf::from_sorted`]), instead
-/// of each constructor re-sorting its own copy.
-pub fn latency_table_with_ecdfs(
-    by_op: &BTreeMap<Operator, Vec<f64>>,
-) -> (Vec<(Operator, FiveNumber)>, BTreeMap<Operator, Ecdf>) {
-    let mut table = Vec::new();
-    let mut ecdfs = BTreeMap::new();
-    for (&op, lat) in by_op {
-        let mut sorted = lat.clone();
-        sorted.sort_by(f64::total_cmp);
-        let Some(summary) = FiveNumber::from_sorted(&sorted) else {
-            continue;
-        };
-        table.push((op, summary));
-        if let Some(ecdf) = Ecdf::from_sorted(sorted) {
-            ecdfs.insert(op, ecdf);
-        }
-    }
-    table.sort_by(|a, b| a.1.median.total_cmp(&b.1.median));
-    (table, ecdfs)
-}
-
 /// Figure 4a: daily latency medians for one operator, plus the paper's
 /// "daily latency variation (95th %ile)" figure.
 ///
@@ -255,26 +230,6 @@ mod tests {
         assert!(ssi < kvh, "ssi {ssi} kvh {kvh}");
         assert!((550.0..730.0).contains(&ssi), "ssi {ssi}");
         assert!(kvh > 780.0, "kvh {kvh}");
-    }
-
-    #[test]
-    fn shared_sort_table_matches_per_constructor_sorts() {
-        let (corpus, accepted) = fixture();
-        let mut by_op: BTreeMap<Operator, Vec<f64>> = BTreeMap::new();
-        for (rec, acc) in corpus.records.iter().zip(accepted) {
-            if let Some(op) = acc {
-                by_op.entry(*op).or_default().push(rec.latency_p5.0);
-            }
-        }
-        let (table, ecdfs) = latency_table_with_ecdfs(&by_op);
-        assert_eq!(table, latency_table(&by_op));
-        assert_eq!(ecdfs.len(), by_op.len());
-        for (op, lat) in &by_op {
-            let fresh = Ecdf::new(lat).unwrap();
-            let shared = &ecdfs[op];
-            assert_eq!(shared.len(), fresh.len(), "{op:?}");
-            assert_eq!(shared.steps(), fresh.steps(), "{op:?}");
-        }
     }
 
     #[test]

@@ -28,10 +28,11 @@
 //!    the per-ASN decision tables of [`accept`], producing the SNO
 //!    catalog (Table 1), a compact acceptance bitmap and the one report
 //!    type, [`StreamedReport`];
-//! 5. [`pipeline`] — the configured [`Pipeline`], the stage 3–3c
-//!    derivation (plus its incremental cache), and [`Pipeline::run`]:
-//!    `run_streamed` over an in-memory slice with the dense per-record
-//!    acceptance vector the analyses read;
+//! 5. [`pipeline`] — the configured [`Pipeline`], the one stage 3–3c
+//!    derivation (a memoizing cache that `run_streamed` runs fresh and
+//!    the online identifier keeps across snapshots), and
+//!    [`Pipeline::run`]: `run_streamed` over an in-memory slice with the
+//!    dense per-record acceptance vector the analyses read;
 //! 6. [`online`] — the incremental service on top of [`stream`]: an
 //!    [`OnlineIdentifier`] ingests chunks in arrival order, merges
 //!    across shards, and snapshots through the same report assembly
@@ -56,6 +57,6 @@ pub use analysis::{jitter_by_orbit, latency_by_operator, retransmissions, stabil
 pub use asn_map::{map_asns, AsnMapping};
 pub use online::{MergeError, OnlineIdentifier};
 pub use pipeline::Pipeline;
-pub use prefix_filter::{relaxed_thresholds, strict_filter, StrictOutcome};
+pub use prefix_filter::{relaxed_thresholds, StrictOutcome};
 pub use stream::{AcceptBitmap, CorpusStats, StreamOptions, StreamedReport};
-pub use validate::{validate_asns, AsnVerdict, BandCounts, LatencyBands};
+pub use validate::{AsnVerdict, BandCounts, LatencyBands};

@@ -27,9 +27,10 @@
 //!   snapshot; `self`'s decided records stay a prefix of the merged
 //!   stream, and its per-ASN cursors a prefix of each merged bucket.
 //! * **Snapshot** — [`OnlineIdentifier::snapshot`] re-derives stages
-//!   3–3c through a memoizing `StageCache` (profiles are one count
-//!   lookup per curated ASN; only strict buckets that grew since the
-//!   last snapshot are re-evaluated) and compares the resulting
+//!   3–3c through the `StageCache` it keeps, the derivation
+//!   [`Pipeline::run_streamed`] runs on a fresh cache (profiles are one
+//!   count lookup per curated ASN; only strict buckets that grew since
+//!   the last snapshot are re-evaluated) and compares the resulting
 //!   [`AcceptTable`](crate::accept::AcceptTable) with the one the
 //!   persistent [`AcceptState`] was decided under. *Unchanged* →
 //!   only the records ingested since the last snapshot replay from the
@@ -42,8 +43,7 @@
 //!   ingest/snapshot/merge schedules.
 //!
 //! The identifier keeps no replay log, only the slot column next to the
-//! latency buckets it needs anyway, so [`OnlineIdentifier::compact`] has
-//! nothing to do.
+//! latency buckets it needs anyway, so there is nothing to compact.
 
 use crate::accept::{AcceptState, AsnOps, Slot};
 use crate::asn_map::{map_asns, AsnMapping};
@@ -187,9 +187,10 @@ impl OnlineIdentifier {
     }
 
     /// Does nothing. The identifier keeps no replay log to compact
-    /// (snapshots replay its slot column instead). The method stays so
-    /// that existing callers, the repository benchmark among them, keep
-    /// compiling.
+    /// (snapshots replay its slot column instead). The method remains
+    /// only because the repository benchmark (`benches/snobench`) calls
+    /// it; it goes once that benchmark times [`Pipeline::run_streamed`]
+    /// itself instead of its own copy of the stages (see ROADMAP.md).
     pub fn compact(&mut self) {}
 }
 

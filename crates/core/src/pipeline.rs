@@ -1,17 +1,19 @@
 //! Stage 4: the end-to-end pipeline and the SNO catalog (Table 1).
+//!
+//! The configured [`Pipeline`], [`Pipeline::run`] over an in-memory
+//! slice, and the one stage 3–3c derivation, `StageCache`:
+//! [`Pipeline::run_streamed`] runs it on a fresh cache, and the online
+//! identifier keeps one across snapshots.
 
 use crate::accept::{AcceptTable, AsnOps};
 use crate::asn_map::AsnMapping;
-use crate::prefix_filter::{
-    collect_strict, outlier_set, relaxed_thresholds, strict_eval_bucket,
-    strict_filter_from_buckets, BucketOutcome, PrefixEntry, StrictOutcome,
-};
+use crate::prefix_filter::{relaxed_thresholds, StrictMemo, StrictOutcome};
 use crate::stream::{CorpusStats, StreamOptions, StreamedReport, REPLAY_CHUNK_LEN};
 use crate::validate::{profiles_from_counts, AsnProfile, LatencyBands};
 use sno_types::chunk::slice_chunks;
 use sno_types::records::NdtRecord;
-use sno_types::{par, Asn, Operator, Prefix24};
-use std::collections::{BTreeMap, BTreeSet};
+use sno_types::Operator;
+use std::collections::BTreeMap;
 
 /// The configured pipeline.
 ///
@@ -42,43 +44,36 @@ pub(crate) struct DerivedStages {
     pub table: AcceptTable,
 }
 
-/// Incremental stage 3–3c derivation for the online path.
-///
-/// [`Pipeline::derive_stages`] re-evaluates every strict prefix bucket
-/// from scratch; at snapshot cadence that is the O(corpus) cost the
-/// incremental identifier is built to avoid. The cache exploits that
-/// the strict filter decomposes into pure per-bucket evaluations over
-/// *append-only* buckets:
+/// Stages 3–3c over accumulated statistics, memoized: the one
+/// derivation [`Pipeline::run_streamed`] runs on a fresh cache between
+/// its passes and the online identifier keeps across snapshots.
 ///
 /// - the per-ASN profiles come from the pass-1 band counts, one lookup
 ///   per curated ASN, and are rebuilt every call;
-/// - a strict `/24` outcome depends only on that bucket's samples and
-///   the outlier-ASN set, so it is keyed on `(sample count, outlier
-///   revision)`;
+/// - the strict filter keeps its per-bucket memo (`StrictMemo`): a
+///   `/24` is re-evaluated only when it grew or the outlier-ASN set
+///   shifted;
 /// - relaxed thresholds and the accept table are cheap folds over the
 ///   above and are recomputed every call.
 ///
 /// The whole derivation is additionally memoized on the caller's
 /// statistics revision, making snapshots of an unchanged corpus O(1).
-/// Results are byte-identical to [`Pipeline::derive_stages`] — same
-/// bucket order, same per-bucket evaluation — pinned by the test below.
+/// A cache carried across calls derives byte-identically to a fresh
+/// one (same bucket order, same per-bucket evaluation), pinned by the
+/// test below.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageCache {
     /// Statistics revision the cached `stages` were derived at.
     rev: Option<u64>,
     stages: Option<DerivedStages>,
-    /// `(operator, /24)` → (bucket length, outlier revision, outcome).
-    strict_memo: BTreeMap<(Operator, Prefix24), (usize, u64, BucketOutcome)>,
-    /// Bumped whenever the outlier-ASN set shifts (invalidates every
-    /// strict-bucket memo entry at once).
-    outlier_rev: u64,
-    outliers: BTreeSet<Asn>,
+    strict: StrictMemo,
 }
 
 impl StageCache {
     /// Stages 3–3c over `stats`, reusing every per-bucket result whose
-    /// inputs did not change since the previous call. `rev` is the
-    /// caller's statistics revision (bump it on every mutation).
+    /// inputs did not change since the previous call. `index` is the
+    /// one `stats` was folded with, and `rev` the caller's statistics
+    /// revision (bump it on every mutation).
     pub(crate) fn derive(
         &mut self,
         pipeline: &Pipeline,
@@ -99,42 +94,10 @@ impl StageCache {
             .iter()
             .map(|p| (p.asn, p.verdict.clone()))
             .collect();
-
-        // Stage 3b: strict prefix filter, memoized per bucket. An
-        // outcome can change only when its bucket grows or the outlier
-        // set shifts.
-        let outliers = outlier_set(&profiles);
-        if outliers != self.outliers {
-            self.outlier_rev += 1;
-            self.outliers = outliers.clone();
-        }
-        let entries: Vec<PrefixEntry> = stats.by_prefix.iter().collect();
-        let mut outcomes: Vec<Option<BucketOutcome>> = entries
-            .iter()
-            .map(|(key, samples)| {
-                self.strict_memo.get(key).and_then(|(len, orev, out)| {
-                    (*len == samples.len() && *orev == self.outlier_rev).then(|| out.clone())
-                })
-            })
-            .collect();
-        let missing: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.is_none().then_some(i))
-            .collect();
-        let fresh = par::shard_map(missing.len(), pipeline.threads, |k| {
-            let (&(op, prefix), samples) = entries[missing[k]];
-            strict_eval_bucket(op, prefix, samples, &outliers)
-        });
-        for (outcome, &i) in fresh.into_iter().zip(&missing) {
-            let (&key, samples) = entries[i];
-            self.strict_memo
-                .insert(key, (samples.len(), self.outlier_rev, outcome.clone()));
-            outcomes[i] = Some(outcome);
-        }
-        let outcomes: Vec<BucketOutcome> = outcomes.into_iter().flatten().collect();
-        let strict = collect_strict(&outcomes);
-
+        // Stage 3b: the strict prefix filter, memoized per bucket.
+        let strict = self
+            .strict
+            .retain_strict(&profiles, &stats.by_prefix, pipeline.threads);
         // Stage 3c + accept table: cheap folds, recomputed every call.
         let (thresholds, default_threshold) = relaxed_thresholds(&strict);
         let table = AcceptTable::build(mapping, &verdict_of, &thresholds, default_threshold);
@@ -181,37 +144,6 @@ impl Pipeline {
         )
     }
 
-    /// Stages 3–3c over accumulated statistics, plus the accept table
-    /// they determine, derived from scratch: what
-    /// [`Pipeline::run_streamed`] runs between its passes, and the
-    /// reference the incremental [`StageCache`] is checked against.
-    /// `index` is the one `stats` was folded with.
-    pub(crate) fn derive_stages(
-        &self,
-        mapping: &AsnMapping,
-        index: &AsnOps,
-        stats: &CorpusStats,
-    ) -> DerivedStages {
-        // Stage 3: band-mass validation from the pass-1 counts.
-        let profiles = self.asn_profiles(mapping, index, stats);
-        let verdict_of: BTreeMap<_, _> = profiles
-            .iter()
-            .map(|p| (p.asn, p.verdict.clone()))
-            .collect();
-        // Stage 3b: strict prefix filter.
-        let strict = strict_filter_from_buckets(&profiles, &stats.by_prefix, self.threads);
-        // Stage 3c: relaxed thresholds.
-        let (thresholds, default_threshold) = relaxed_thresholds(&strict);
-        let table = AcceptTable::build(mapping, &verdict_of, &thresholds, default_threshold);
-        DerivedStages {
-            profiles,
-            strict,
-            thresholds,
-            default_threshold,
-            table,
-        }
-    }
-
     /// Stage 3 from the band counts `stats` holds on each ASN's slot.
     fn asn_profiles(
         &self,
@@ -229,6 +161,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::asn_map::map_asns;
+    use crate::prefix_filter::strict_filter_from_buckets;
     use sno_synth::mlab::SessionTruth;
     use sno_synth::{MlabCorpus, MlabGenerator, SynthConfig};
     use sno_types::{Asn, LinkKind};
@@ -355,38 +288,60 @@ mod tests {
         let mapping = map_asns();
         let index = AsnOps::new(&mapping);
         let pipeline = Pipeline::new();
-        let mut cache = StageCache::default();
-        let mut stats = CorpusStats::new();
-        let mut rev = 0u64;
-        let step = corpus.records.len() / 5 + 1;
-        for chunk in corpus.records.chunks(step) {
-            for rec in chunk {
-                stats.observe(&mapping, rec);
+        // Two arrival orders in five steps each. In generation order
+        // most steps open new buckets; round robin grows every bucket
+        // at every step, which the strict memo's length check must see.
+        let in_order: Vec<Vec<&NdtRecord>> = corpus
+            .records
+            .chunks(corpus.records.len() / 5 + 1)
+            .map(|chunk| chunk.iter().collect())
+            .collect();
+        let round_robin: Vec<Vec<&NdtRecord>> = (0..5)
+            .map(|k| corpus.records.iter().skip(k).step_by(5).collect())
+            .collect();
+        for steps in [in_order, round_robin] {
+            let mut cache = StageCache::default();
+            let mut stats = CorpusStats::new();
+            let mut rev = 0u64;
+            for step in steps {
+                for rec in step {
+                    stats.observe(&mapping, rec);
+                }
+                rev += 1;
+                let cached = cache.derive(&pipeline, &mapping, &index, &stats, rev);
+                let fresh = StageCache::default().derive(&pipeline, &mapping, &index, &stats, rev);
+                assert_eq!(cached.table, fresh.table);
+                assert_eq!(cached.thresholds, fresh.thresholds);
+                assert_eq!(
+                    cached.default_threshold.to_bits(),
+                    fresh.default_threshold.to_bits()
+                );
+                assert_eq!(
+                    format!("{:?}", cached.profiles),
+                    format!("{:?}", fresh.profiles)
+                );
+                assert_eq!(
+                    format!("{:?}", cached.strict),
+                    format!("{:?}", fresh.strict)
+                );
+                // The benchmark's strict entry is the same filter.
+                for threads in [1, 2] {
+                    let entry =
+                        strict_filter_from_buckets(&fresh.profiles, &stats.by_prefix, threads);
+                    assert_eq!(
+                        format!("{entry:?}"),
+                        format!("{:?}", cached.strict),
+                        "threads {threads}"
+                    );
+                }
+                // Unchanged revision: the whole-derivation memo answers.
+                let again = cache.derive(&pipeline, &mapping, &index, &stats, rev);
+                assert_eq!(again.table, cached.table);
+                assert_eq!(
+                    format!("{:?}", again.strict),
+                    format!("{:?}", cached.strict)
+                );
             }
-            rev += 1;
-            let cached = cache.derive(&pipeline, &mapping, &index, &stats, rev);
-            let fresh = pipeline.derive_stages(&mapping, &index, &stats);
-            assert_eq!(cached.table, fresh.table);
-            assert_eq!(cached.thresholds, fresh.thresholds);
-            assert_eq!(
-                cached.default_threshold.to_bits(),
-                fresh.default_threshold.to_bits()
-            );
-            assert_eq!(
-                format!("{:?}", cached.profiles),
-                format!("{:?}", fresh.profiles)
-            );
-            assert_eq!(
-                format!("{:?}", cached.strict),
-                format!("{:?}", fresh.strict)
-            );
-            // Unchanged revision: the whole-derivation memo answers.
-            let again = cache.derive(&pipeline, &mapping, &index, &stats, rev);
-            assert_eq!(again.table, cached.table);
-            assert_eq!(
-                format!("{:?}", again.strict),
-                format!("{:?}", cached.strict)
-            );
         }
     }
 }

@@ -15,12 +15,18 @@
 //! latency (548.9 ms for Viasat in the paper) and accepts any test above
 //! it; operators not covered by the strict stage use the minimum across
 //! covered operators (527 ms in the paper).
+//!
+//! The strict filter has one implementation, `StrictMemo::retain_strict`,
+//! over the per-`(operator, /24)` buckets
+//! [`CorpusStats`](crate::CorpusStats) folds. Each bucket's outcome is
+//! memoized on its length and the outlier-ASN set, so a batch run (a
+//! fresh memo) evaluates every bucket, and an online snapshot only the
+//! buckets that grew since the last one.
+//! [`strict_filter_from_buckets`] is that filter on a fresh memo.
 
-use crate::asn_map::AsnMapping;
 use crate::validate::{AsnProfile, AsnVerdict};
 use sno_stats::FiveNumber;
 use sno_types::par;
-use sno_types::records::NdtRecord;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass, Prefix24};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,11 +83,11 @@ fn floor_of(access: AccessKind) -> f64 {
 /// How the strict stage ruled on one `(operator, /24)` bucket.
 ///
 /// A bucket's outcome depends only on its own samples and the current
-/// outlier-ASN set, which makes it a unit of memoization for the
-/// incremental pipeline: buckets are append-only, so an unchanged
-/// `(sample count, outlier set)` pair implies an unchanged outcome.
+/// outlier-ASN set, which makes it the unit [`StrictMemo`] memoizes:
+/// buckets are append-only, so an unchanged `(sample count, outlier
+/// set)` pair implies an unchanged outcome.
 #[derive(Debug, Clone)]
-pub(crate) enum BucketOutcome {
+enum BucketOutcome {
     /// Every sample came from an outlier ASN; the bucket was never
     /// examined.
     Empty,
@@ -94,7 +100,7 @@ pub(crate) enum BucketOutcome {
 }
 
 /// Evaluate the strict filter on a single `(operator, /24)` bucket.
-pub(crate) fn strict_eval_bucket(
+fn strict_eval_bucket(
     op: Operator,
     prefix: Prefix24,
     samples: &[(Asn, f64)],
@@ -132,13 +138,11 @@ pub(crate) fn strict_eval_bucket(
 }
 
 /// One borrowed `(key, samples)` entry of a per-`(operator, /24)`
-/// bucket map, as sharded by the strict filter and its stage cache.
-pub(crate) type PrefixEntry<'a> = (&'a (Operator, Prefix24), &'a Vec<(Asn, f64)>);
+/// bucket map, as sharded by [`StrictMemo::retain_strict`].
+type PrefixEntry<'a> = (&'a (Operator, Prefix24), &'a Vec<(Asn, f64)>);
 
 /// Fold per-bucket outcomes (in bucket order) into a [`StrictOutcome`].
-pub(crate) fn collect_strict<'a>(
-    outcomes: impl IntoIterator<Item = &'a BucketOutcome>,
-) -> StrictOutcome {
+fn collect_strict<'a>(outcomes: impl IntoIterator<Item = &'a BucketOutcome>) -> StrictOutcome {
     let mut retained = Vec::new();
     let mut examined = 0usize;
     let mut rejected_band = 0usize;
@@ -162,7 +166,7 @@ pub(crate) fn collect_strict<'a>(
 
 /// The outlier-ASN set a profile pass implies (the strict stage drops
 /// samples originating from these ASNs).
-pub(crate) fn outlier_set(profiles: &[AsnProfile]) -> BTreeSet<Asn> {
+fn outlier_set(profiles: &[AsnProfile]) -> BTreeSet<Asn> {
     profiles
         .iter()
         .filter(|p| matches!(p.verdict, AsnVerdict::Outlier(_)))
@@ -170,66 +174,91 @@ pub(crate) fn outlier_set(profiles: &[AsnProfile]) -> BTreeSet<Asn> {
         .collect()
 }
 
-/// Run the strict per-prefix filter over non-LEO operators.
-pub fn strict_filter(
-    mapping: &AsnMapping,
-    profiles: &[AsnProfile],
-    records: &[NdtRecord],
-) -> StrictOutcome {
-    strict_filter_threaded(mapping, profiles, records, 0)
+/// The strict filter with its per-bucket memo: the one implementation
+/// of stage 3b. An empty memo evaluates every bucket
+/// ([`strict_filter_from_buckets`], and each batch run); the online
+/// identifier keeps one across snapshots and re-evaluates only the
+/// buckets that grew, or every bucket when the outlier set shifted.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StrictMemo {
+    /// `(operator, /24)` → (bucket length, outlier revision, outcome).
+    buckets: BTreeMap<(Operator, Prefix24), (usize, u64, BucketOutcome)>,
+    /// Bumped whenever the outlier-ASN set shifts (invalidates every
+    /// entry at once).
+    outlier_rev: u64,
+    outliers: BTreeSet<Asn>,
 }
 
-/// [`strict_filter`] with an explicit worker-thread count (`0` = all
-/// cores). Prefix buckets are evaluated in fixed-size shards and the
-/// per-shard results merged in prefix order, so the outcome is
-/// identical at every thread count.
-pub fn strict_filter_threaded(
-    mapping: &AsnMapping,
-    profiles: &[AsnProfile],
-    records: &[NdtRecord],
-    threads: usize,
-) -> StrictOutcome {
-    // Group record latencies by (operator, /24), keeping the source ASN
-    // so the bucket stage below can drop outlier-ASN samples.
-    let mut by_prefix: BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>> = BTreeMap::new();
-    for rec in records {
-        let Some(op) = mapping.operator_of(rec.asn) else {
-            continue;
-        };
-        let access = sno_registry::sources::access_of(op);
-        if access.includes(OrbitClass::Leo) {
-            continue; // LEO is identified at ASN level
+impl StrictMemo {
+    /// Run the strict filter over `by_prefix` under the outlier set
+    /// `profiles` imply, reusing every outcome whose bucket length and
+    /// outlier revision are unchanged. The buckets left to evaluate are
+    /// sharded in [`par::DEFAULT_CHUNK`] runs on up to `threads`
+    /// workers (`0` = all cores) and folded in bucket order, so the
+    /// outcome is identical at every thread count and memo state.
+    pub(crate) fn retain_strict(
+        &mut self,
+        profiles: &[AsnProfile],
+        by_prefix: &BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>>,
+        threads: usize,
+    ) -> StrictOutcome {
+        let outliers = outlier_set(profiles);
+        if outliers != self.outliers {
+            self.outlier_rev += 1;
+            self.outliers = outliers;
         }
-        by_prefix
-            .entry((op, rec.client.prefix24()))
-            .or_default()
-            .push((rec.asn, rec.latency_p5.0));
+        // A memoized outcome holds while its bucket's length and the
+        // outlier revision do; the rest are evaluated and memoized.
+        let rev = self.outlier_rev;
+        let mut outcomes: Vec<Option<BucketOutcome>> = by_prefix
+            .iter()
+            .map(|(key, samples)| {
+                self.buckets.get(key).and_then(|(len, orev, out)| {
+                    (*len == samples.len() && *orev == rev).then(|| out.clone())
+                })
+            })
+            .collect();
+        let stale: Vec<PrefixEntry> = by_prefix
+            .iter()
+            .zip(&outcomes)
+            .filter_map(|(entry, outcome)| outcome.is_none().then_some(entry))
+            .collect();
+        let shards: Vec<&[PrefixEntry]> = stale.chunks(par::DEFAULT_CHUNK).collect();
+        let outliers = &self.outliers;
+        let fresh = par::shard_map(shards.len(), threads, |s| {
+            let shard = shards.get(s).copied().unwrap_or_default();
+            shard
+                .iter()
+                .map(|(&(op, prefix), samples)| strict_eval_bucket(op, prefix, samples, outliers))
+                .collect::<Vec<_>>()
+        });
+        let mut fresh = fresh.into_iter().flatten();
+        for ((&key, samples), outcome) in by_prefix.iter().zip(&mut outcomes) {
+            if outcome.is_none() {
+                *outcome = fresh.next();
+                if let Some(out) = outcome {
+                    self.buckets.insert(key, (samples.len(), rev, out.clone()));
+                }
+            }
+        }
+        collect_strict(outcomes.iter().flatten())
     }
-    strict_filter_from_buckets(profiles, &by_prefix, threads)
 }
 
-/// The filtering half of [`strict_filter_threaded`], starting from
-/// already-bucketed per-`(operator, /24)` samples (non-LEO operators
-/// only, each bucket in record order, tagged with the source ASN).
-/// This is the entry point for the streaming pipeline: the buckets are
-/// accumulated per chunk *before* stage 3 has ruled on any ASN, so
-/// outlier-ASN samples are dropped here, and buckets left empty by that
-/// cut were never examined.
+/// The strict per-prefix filter over already-bucketed per-`(operator,
+/// /24)` samples (non-LEO operators only, each bucket in record order,
+/// tagged with the source ASN), as [`CorpusStats`](crate::CorpusStats)
+/// folds them: `StrictMemo::retain_strict` on an empty memo, with
+/// `threads` workers (`0` = all cores). The buckets are accumulated
+/// before stage 3 has ruled on any ASN, so outlier-ASN samples are
+/// dropped here, and buckets left empty by that cut were never
+/// examined.
 pub fn strict_filter_from_buckets(
     profiles: &[AsnProfile],
     by_prefix: &BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>>,
     threads: usize,
 ) -> StrictOutcome {
-    let outlier_asns = outlier_set(profiles);
-    let entries: Vec<PrefixEntry> = by_prefix.iter().collect();
-    let ranges = par::shard_ranges(entries.len(), par::DEFAULT_CHUNK);
-    let parts = par::shard_map(ranges.len(), threads, |s| {
-        entries[ranges[s].clone()]
-            .iter()
-            .map(|(&(op, prefix), samples)| strict_eval_bucket(op, prefix, samples, &outlier_asns))
-            .collect::<Vec<_>>()
-    });
-    collect_strict(parts.iter().flatten())
+    StrictMemo::default().retain_strict(profiles, by_prefix, threads)
 }
 
 /// Per-operator relaxed thresholds plus the default for operators the
@@ -252,17 +281,14 @@ pub fn relaxed_thresholds(strict: &StrictOutcome) -> (BTreeMap<Operator, f64>, f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asn_map::map_asns;
-    use crate::validate::{validate_asns, LatencyBands};
+    use crate::pipeline::Pipeline;
+    use crate::validate::{profile_one, LatencyBands};
     use sno_synth::{MlabGenerator, SynthConfig};
 
     fn run_stages() -> (StrictOutcome, BTreeMap<Operator, f64>, f64) {
         let corpus = MlabGenerator::new(SynthConfig::test_corpus()).generate();
-        let mapping = map_asns();
-        let profiles = validate_asns(&mapping, &corpus.records, LatencyBands::default());
-        let strict = strict_filter(&mapping, &profiles, &corpus.records);
-        let (per_op, default) = relaxed_thresholds(&strict);
-        (strict, per_op, default)
+        let report = Pipeline::new().run(&corpus.records);
+        (report.strict, report.thresholds, report.default_threshold)
     }
 
     #[test]
@@ -321,6 +347,40 @@ mod tests {
         // MEO prefixes pull it down toward the MEO floor.
         assert!(default <= viasat);
         assert!(default > MEO_FLOOR_MS);
+    }
+
+    #[test]
+    fn memo_follows_the_outlier_set_when_no_bucket_grows() {
+        // One SES /24 that only AS201554 feeds: retained while the ASN
+        // has too few tests to judge, never examined once it is an
+        // outlier. The bucket does not change in between, so only the
+        // memo's outlier revision can tell the calls apart.
+        let profile = |tests| {
+            let latencies = vec![650.0; tests];
+            profile_one(
+                Operator::Ses,
+                Asn(201554),
+                &latencies,
+                LatencyBands::default(),
+            )
+        };
+        let by_prefix = BTreeMap::from([(
+            (Operator::Ses, Prefix24::new(10, 0, 0)),
+            vec![(Asn(201554), 650.0); 12],
+        )]);
+        let examined =
+            |tests| strict_filter_from_buckets(&[profile(tests)], &by_prefix, 1).examined;
+        assert_eq!((examined(10), examined(30)), (1, 0));
+        let mut memo = StrictMemo::default();
+        for tests in [10, 30, 10] {
+            let profiles = [profile(tests)];
+            let fresh = strict_filter_from_buckets(&profiles, &by_prefix, 1);
+            assert_eq!(
+                format!("{:?}", memo.retain_strict(&profiles, &by_prefix, 1)),
+                format!("{fresh:?}"),
+                "{tests} tests"
+            );
+        }
     }
 
     #[test]

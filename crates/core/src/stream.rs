@@ -25,15 +25,17 @@
 //!    records are not streamed again: [`AcceptState`] walks the slot
 //!    column with one cursor per slot into the per-ASN buckets and
 //!    decides each record through the
-//!    [`AcceptTable`](crate::accept::AcceptTable) derived from pass 1,
-//!    emitting per-operator counts plus a compact [`AcceptBitmap`] (one
-//!    bit per record), and the dense per-record vector only when
-//!    [`StreamOptions`] asks for it.
+//!    [`AcceptTable`](crate::accept::AcceptTable) that stages 3–3c
+//!    derive from pass 1 (the one derivation, `StageCache`, here on a
+//!    fresh cache), emitting per-operator counts plus a compact
+//!    [`AcceptBitmap`] (one bit per record), and the dense per-record
+//!    vector only when [`StreamOptions`] asks for it.
 //!
 //! The online identifier runs the same two steps apart in time: each
 //! arriving chunk is folded as in step 1 into the one [`CorpusStats`] it
-//! keeps, and each snapshot replays as in step 2 the slots added since
-//! the last one (all of them when the accept table shifted).
+//! keeps, and each snapshot derives its table through a `StageCache` it
+//! keeps across snapshots, then replays as in step 2 the slots added
+//! since the last one (all of them when the accept table shifted).
 //!
 //! Peak memory is the per-bucket statistics (latency samples and a
 //! 2-byte slot per record, not records) plus one generation wave — the
@@ -44,7 +46,7 @@
 
 use crate::accept::{AcceptState, AsnOps, Slot, UNMAPPED};
 use crate::asn_map::{map_asns, AsnMapping};
-use crate::pipeline::{DerivedStages, Pipeline};
+use crate::pipeline::{DerivedStages, Pipeline, StageCache};
 use crate::prefix_filter::StrictOutcome;
 use crate::validate::{AsnProfile, BandCounts, LatencyBands};
 use sno_types::chunk::{self, RecordChunks};
@@ -83,11 +85,12 @@ impl CorpusStats {
     }
 
     /// Fold one record in: the row-at-a-time reference the run fold
-    /// (behind [`CorpusStats::observe_batch`] and pass 1) is checked
-    /// against. The slot is derived from the mapping here, not from
-    /// [`AsnOps`]: the number of distinct curated ASNs below the
-    /// record's. Latencies are counted at the default [`LatencyBands`],
-    /// as [`AsnOps::new`] counts them.
+    /// (behind [`CorpusStats::observe_records`] and
+    /// [`CorpusStats::observe_batch`]) is checked against. The slot is
+    /// derived from the mapping here, not from [`AsnOps`]: the number
+    /// of distinct curated ASNs below the record's. Latencies are
+    /// counted at the default [`LatencyBands`], as [`AsnOps::new`]
+    /// counts them.
     pub fn observe(&mut self, mapping: &AsnMapping, rec: &NdtRecord) {
         self.records += 1;
         self.by_asn
@@ -154,8 +157,10 @@ impl CorpusStats {
     }
 
     /// Fold a decoded chunk in, row by row: pass 1 of
-    /// [`Pipeline::run_streamed`] and online ingest.
-    pub(crate) fn observe_records(&mut self, index: &AsnOps, records: &[NdtRecord]) {
+    /// [`Pipeline::run_streamed`] and online ingest. The buckets, slots
+    /// and counts equal row-at-a-time [`CorpusStats::observe`] calls
+    /// over the same records (at the index's band edges).
+    pub fn observe_records(&mut self, index: &AsnOps, records: &[NdtRecord]) {
         self.fold(
             index,
             records
@@ -390,9 +395,10 @@ impl Pipeline {
         );
 
         // Stages 3–3c over the accumulated counts and buckets, folded
-        // into the per-ASN decision table; then stage 4 decides every
+        // into the per-ASN decision table by the derivation snapshots
+        // memoize, here on a fresh cache; then stage 4 decides every
         // record by replaying the slot column against it.
-        let stages = self.derive_stages(&mapping, &index, &stats);
+        let stages = StageCache::default().derive(self, &mapping, &index, &stats, 0);
         let mut accept = AcceptState::new();
         accept.reset(stages.table.clone(), opts);
         accept.replay(&stats);

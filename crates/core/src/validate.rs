@@ -19,10 +19,8 @@
 
 use crate::asn_map::AsnMapping;
 use sno_registry::sources::access_of;
-use sno_types::records::NdtRecord;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// Latency bands (ms) per regime, the edges of every band mass a
 /// verdict reads.
@@ -231,23 +229,6 @@ impl AsnProfile {
     }
 }
 
-/// Validate every mapped ASN against the latency profile of its records.
-pub fn validate_asns(
-    mapping: &AsnMapping,
-    records: &[NdtRecord],
-    bands: LatencyBands,
-) -> Vec<AsnProfile> {
-    let edges = bands.edges();
-    let mut by_asn: BTreeMap<Asn, BandCounts> = BTreeMap::new();
-    for rec in records {
-        by_asn
-            .entry(rec.asn)
-            .or_default()
-            .count(&edges, rec.latency_p5.0);
-    }
-    profiles_from_counts(mapping, bands, |asn| by_asn.get(&asn))
-}
-
 /// Stage 3: one profile per curated (operator, ASN) pair, in mapping
 /// order, from the counts `counts_of` holds for the ASN (`None`: no
 /// samples). No latency sample is read.
@@ -324,7 +305,7 @@ fn judge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asn_map::map_asns;
+    use crate::pipeline::Pipeline;
     use sno_types::Rng;
 
     fn bands() -> LatencyBands {
@@ -477,8 +458,7 @@ mod tests {
     fn full_corpus_validation_flags_the_planted_anomalies() {
         let corpus =
             sno_synth::MlabGenerator::new(sno_synth::SynthConfig::test_corpus()).generate();
-        let mapping = map_asns();
-        let profiles = validate_asns(&mapping, &corpus.records, bands());
+        let profiles = Pipeline::new().run(&corpus.records).profiles;
         let verdict_of = |asn: u32| {
             profiles
                 .iter()

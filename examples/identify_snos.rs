@@ -5,17 +5,18 @@
 //! cargo run --release --example identify_snos
 //! ```
 
-use sno_dissect::core::prefix_filter::{relaxed_thresholds, strict_filter};
-use sno_dissect::core::validate::{validate_asns, AsnVerdict, LatencyBands};
-use sno_dissect::core::{asn_map, pipeline::Pipeline};
+use sno_dissect::core::pipeline::Pipeline;
+use sno_dissect::core::validate::AsnVerdict;
 use sno_dissect::synth::{MlabGenerator, SynthConfig};
 
 fn main() {
     let corpus = MlabGenerator::new(SynthConfig::default_corpus()).generate();
     println!("corpus: {} NDT speed tests\n", corpus.records.len());
+    // One pipeline run; its report keeps every stage's output.
+    let report = Pipeline::new().run(&corpus.records);
 
     // Stage 1-2: registry mapping + manual curation.
-    let mapping = asn_map::map_asns();
+    let mapping = &report.mapping;
     println!("== stage 1-2: ASN-to-SNO mapping ==");
     println!(
         "candidates (ASdb + HE search): {}",
@@ -33,8 +34,7 @@ fn main() {
     // Stage 3: latency-profile validation against the advertised
     // technology, on the band masses of each ASN's sample.
     println!("\n== stage 3: latency-profile validation ==");
-    let profiles = validate_asns(&mapping, &corpus.records, LatencyBands::default());
-    for p in &profiles {
+    for p in &report.profiles {
         match &p.verdict {
             AsnVerdict::Outlier(reason) => {
                 println!("  {} / {}: OUTLIER — {reason}", p.operator.name(), p.asn)
@@ -51,7 +51,7 @@ fn main() {
 
     // Stage 3b: the strict per-/24 filter.
     println!("\n== stage 3b: strict prefix filter ==");
-    let strict = strict_filter(&mapping, &profiles, &corpus.records);
+    let strict = &report.strict;
     println!(
         "retained {} /24s across {} SNOs (examined {}, thin {}, band-violations {})",
         strict.retained.len(),
@@ -62,15 +62,16 @@ fn main() {
     );
 
     // Stage 3c: relax using the observed minima.
-    let (thresholds, default) = relaxed_thresholds(&strict);
     println!("\n== stage 3c: relaxed thresholds ==");
-    for (op, t) in &thresholds {
+    for (op, t) in &report.thresholds {
         println!("  {:<12} accept latency >= {t:.1} ms", op.name());
     }
-    println!("  (others)     accept latency >= {default:.1} ms  [paper: 527 ms]");
+    println!(
+        "  (others)     accept latency >= {:.1} ms  [paper: 527 ms]",
+        report.default_threshold
+    );
 
     // Stage 4: the catalog.
-    let report = Pipeline::new().run(&corpus.records);
     println!("\n== stage 4: the SNO catalog (Table 1) ==");
     for (op, n) in &report.catalog {
         println!("  {:<12} {n}", op.name());

@@ -369,7 +369,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The band-count contract stage 3 decides on. Counts folded by
-    /// `observe_batch` over random chunks, merged within random shards
+    /// `observe_records` over random chunks, merged within random shards
     /// and then in shard order, equal the row `observe` fold.
     /// `run_streamed`'s profiles, built from such counts, equal
     /// `profile_one` over each bucket. And every band mass equals the
@@ -391,7 +391,7 @@ proptest! {
         use sno_dissect::registry::sources::access_of;
         use sno_dissect::types::chunk::slice_chunks;
         use sno_dissect::types::records::NdtRecord;
-        use sno_dissect::types::{Mbps, Millis, RecordBatch, Timestamp};
+        use sno_dissect::types::{Mbps, Millis, Timestamp};
 
         let records: Vec<NdtRecord> = picks
             .iter()
@@ -418,12 +418,11 @@ proptest! {
         bounds.extend([0, records.len()]);
         bounds.sort_unstable();
         bounds.dedup();
-        let batch = RecordBatch::from_records(&records);
         let partials: Vec<CorpusStats> = bounds
             .windows(2)
             .map(|w| {
                 let mut part = CorpusStats::new();
-                part.observe_batch(&index, &batch, w[0]..w[1]);
+                part.observe_records(&index, &records[w[0]..w[1]]);
                 part
             })
             .collect();
@@ -512,15 +511,13 @@ proptest! {
     /// `(operator, /24)` bucket gathers two ASNs' samples from
     /// interleaved runs. Latencies sit on every band edge, at ±inf,
     /// −0.0 and NaN of either sign. The records are cut into chunks at
-    /// random points. `observe_batch` over those ranges, which feeds
-    /// its columns to the same fold body as pass 1 and online ingest,
-    /// must equal the reference in `records`, `by_asn` and `by_prefix`
-    /// (bit for bit), `slots` and `band_counts`, both as partials
-    /// merged in order and into one accumulator. The row fold itself
-    /// is crate-private, so its state is checked through what it
-    /// decides: `run_streamed` over the cut chunks at 1 and 2 threads,
-    /// and an online identifier that ingested them, report what
-    /// `Pipeline::run` does.
+    /// random points. `observe_records` over those chunks, the fold
+    /// pass 1 and online ingest run, must equal the reference in
+    /// `records`, `by_asn` and `by_prefix` (bit for bit), `slots` and
+    /// `band_counts`, both as partials merged in order and into one
+    /// accumulator. And `run_streamed` over the cut chunks at 1 and 2
+    /// threads, and an online identifier that ingested them, report
+    /// what `Pipeline::run` does.
     #[test]
     fn stats_folds_match_the_row_reference(
         triples in prop::collection::vec(
@@ -539,7 +536,7 @@ proptest! {
         };
         use sno_dissect::types::chunk::RecordChunks;
         use sno_dissect::types::records::NdtRecord;
-        use sno_dissect::types::{Mbps, Millis, Prefix24, RecordBatch, Timestamp};
+        use sno_dissect::types::{Mbps, Millis, Prefix24, Timestamp};
 
         /// A source yielding pre-cut chunks.
         struct CutChunks(std::vec::IntoIter<Vec<NdtRecord>>);
@@ -606,21 +603,21 @@ proptest! {
         bounds.dedup();
         let ranges: Vec<std::ops::Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
 
-        let batch = RecordBatch::from_records(&records);
         let mut merged = CorpusStats::new();
         let mut accumulated = CorpusStats::new();
         let mut online = OnlineIdentifier::new(Pipeline::new());
         for range in &ranges {
+            let chunk = &records[range.clone()];
             let mut part = CorpusStats::new();
-            part.observe_batch(&index, &batch, range.clone());
+            part.observe_records(&index, chunk);
             merged = merged.merge(part);
-            accumulated.observe_batch(&index, &batch, range.clone());
-            online.ingest(&records[range.clone()]);
+            accumulated.observe_records(&index, chunk);
+            online.ingest(chunk);
         }
         let want = bits(&reference);
         for (fold, stats) in [
-            ("merged batch ranges", &merged),
-            ("accumulated batch ranges", &accumulated),
+            ("merged chunks", &merged),
+            ("accumulated chunks", &accumulated),
         ] {
             prop_assert_eq!(stats.records, reference.records, "{}", fold);
             prop_assert_eq!(&bits(stats), &want, "{}", fold);
