@@ -20,9 +20,10 @@
 //!                       # incremental OnlineIdentifier and print its
 //!                       # snapshot through the shared report renderer
 //! repro --online --verify-batch
-//!                       # also run the batch streamed pipeline over the
-//!                       # same corpus and exit non-zero on any verdict
-//!                       # mismatch (the ci.sh online-equivalence gate)
+//!                       # also snapshot after every chunk, run the batch
+//!                       # streamed pipeline over the same corpus and
+//!                       # exit non-zero on any verdict mismatch (the
+//!                       # ci.sh online-equivalence gate)
 //! repro --bench         # time every experiment, write BENCH_N.json
 //! repro --bench-diff BENCH_1.json BENCH_2.json
 //!                       # compare two snapshots, fail on >20% median
@@ -603,11 +604,48 @@ fn ingest_corpus(
     (online, chunks)
 }
 
+/// [`ingest_corpus`] with a snapshot after every chunk, so the
+/// identifier's stage cache is carried across growth, as a polling
+/// service carries it. A snapshot that does not count and decide every
+/// record ingested so far is pushed onto `mismatches`.
+fn ingest_with_snapshots(
+    generator: &MlabGenerator,
+    threads: usize,
+    chunk_len: usize,
+    opts: StreamOptions,
+    mismatches: &mut Vec<String>,
+) -> (OnlineIdentifier, usize) {
+    let mut online = OnlineIdentifier::new(Pipeline::with_threads(threads));
+    let mut stream = generator.generate_chunks(chunk_len);
+    let mut chunks = 0usize;
+    let mut milestones = 0usize;
+    while let Some(records) = stream.next_chunk() {
+        online.ingest(&records);
+        chunks += 1;
+        let snapshot = online.snapshot(opts);
+        let ingested = online.ingested();
+        if snapshot.records != ingested || snapshot.bitmap.len() != ingested {
+            mismatches.push(format!(
+                "snapshot after chunk {chunks}: {} records, {} decided, of {ingested} ingested",
+                snapshot.records,
+                snapshot.bitmap.len()
+            ));
+        }
+        if opts.progress_every > 0 && ingested / opts.progress_every > milestones {
+            milestones = ingested / opts.progress_every;
+            eprintln!("    [online ingest] {ingested} records");
+        }
+    }
+    (online, chunks)
+}
+
 /// `--online`: drive the corpus chunk-by-chunk through the incremental
 /// identifier and print its snapshot through the shared report renderer.
-/// With `--verify-batch`, also run the batch streamed pipeline over the
-/// same corpus and exit non-zero unless the online verdicts match
-/// field-for-field and the two reports render byte-identically.
+/// With `--verify-batch`, snapshot after every chunk as well, also run
+/// the batch streamed pipeline over the same corpus, and exit non-zero
+/// unless every snapshot counted all records ingested so far, the
+/// online verdicts match field-for-field and the two reports render
+/// byte-identically.
 fn run_online(config: SynthConfig, chunk: Option<usize>, verify: bool, progress: usize) -> ! {
     let chunk_len = chunk.unwrap_or(sno_bench::context::DEFAULT_CHUNK_LEN);
     let opts = StreamOptions {
@@ -616,7 +654,12 @@ fn run_online(config: SynthConfig, chunk: Option<usize>, verify: bool, progress:
         ..StreamOptions::default()
     };
     let generator = MlabGenerator::new(config.clone());
-    let (mut online, chunks) = ingest_corpus(&generator, config.threads, chunk_len, progress);
+    let mut mismatches = Vec::new();
+    let (mut online, chunks) = if verify {
+        ingest_with_snapshots(&generator, config.threads, chunk_len, opts, &mut mismatches)
+    } else {
+        ingest_corpus(&generator, config.threads, chunk_len, progress)
+    };
     let snapshot = online.snapshot(opts);
     let text = streamed_report_text(&snapshot, config.scale);
     println!(
@@ -635,7 +678,6 @@ fn run_online(config: SynthConfig, chunk: Option<usize>, verify: bool, progress:
 
     let batch = Pipeline::with_threads(config.threads)
         .run_streamed(|| generator.generate_chunks(chunk_len), opts);
-    let mut mismatches = Vec::new();
     if snapshot.records != batch.records {
         mismatches.push(format!(
             "record count: online {} vs batch {}",
@@ -673,7 +715,9 @@ fn run_online(config: SynthConfig, chunk: Option<usize>, verify: bool, progress:
         mismatches.push("second snapshot diverges from the batch run".to_string());
     }
     if mismatches.is_empty() {
-        println!("verify-batch: online == batch (verdicts and rendered report byte-identical)");
+        println!(
+            "verify-batch: online == batch (verdicts and rendered report byte-identical; {chunks} snapshots carried the stage cache)"
+        );
         std::process::exit(0);
     }
     eprintln!("FAIL: online snapshot diverges from the batch run:");

@@ -29,8 +29,9 @@
 //! * **Snapshot** — [`OnlineIdentifier::snapshot`] re-derives stages
 //!   3–3c through the `StageCache` it keeps, the derivation
 //!   [`Pipeline::run_streamed`] runs on a fresh cache (profiles are one
-//!   count lookup per curated ASN; only strict buckets that grew since
-//!   the last snapshot are re-evaluated) and compares the resulting
+//!   count lookup per curated ASN; each strict `/24` folds in only the
+//!   samples it gained since the last snapshot, sorted and merged into
+//!   its running sorted state) and compares the resulting
 //!   [`AcceptTable`](crate::accept::AcceptTable) with the one the
 //!   persistent [`AcceptState`] was decided under. *Unchanged* →
 //!   only the records ingested since the last snapshot replay from the
@@ -162,7 +163,11 @@ impl OnlineIdentifier {
     /// same records, and the persistent accept state decides only what
     /// the current epoch has not decided yet: the cost is O(frames since
     /// the last snapshot) while the derived accept table is stable, and
-    /// O(stream) on the rare epoch bump.
+    /// O(stream) on the rare epoch bump. Re-deriving the stages costs one
+    /// count lookup per curated ASN and one step per `/24`, plus a sort
+    /// of each grown `/24`'s new samples and their merge into its sorted
+    /// state, which moves only the kept samples above the smallest new
+    /// one; a shift in the outlier-ASN set folds every `/24` whole again.
     // sno-lint: allow(panic-reachable): identification is total over validated batches; remaining reachable sites are leaf-justified length invariants in the columnar hot path
     pub fn snapshot(&mut self, opts: StreamOptions) -> StreamedReport {
         let stages = self.cache.derive(

@@ -50,17 +50,18 @@ pub(crate) struct DerivedStages {
 ///
 /// - the per-ASN profiles come from the pass-1 band counts, one lookup
 ///   per curated ASN, and are rebuilt every call;
-/// - the strict filter keeps its per-bucket memo (`StrictMemo`): a
-///   `/24` is re-evaluated only when it grew or the outlier-ASN set
-///   shifted;
+/// - the strict filter keeps a running state per `/24` (`StrictMemo`):
+///   each call folds in only the samples a bucket gained since the
+///   last one (sorted and merged into the bucket's sorted latencies),
+///   and every bucket whole again when the outlier-ASN set shifted;
 /// - relaxed thresholds and the accept table are cheap folds over the
 ///   above and are recomputed every call.
 ///
 /// The whole derivation is additionally memoized on the caller's
 /// statistics revision, making snapshots of an unchanged corpus O(1).
 /// A cache carried across calls derives byte-identically to a fresh
-/// one (same bucket order, same per-bucket evaluation), pinned by the
-/// test below.
+/// one (same bucket order, and a bucket's state folded in appends
+/// equals its state folded whole), pinned by the test below.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageCache {
     /// Statistics revision the cached `stages` were derived at.
@@ -94,7 +95,7 @@ impl StageCache {
             .iter()
             .map(|p| (p.asn, p.verdict.clone()))
             .collect();
-        // Stage 3b: the strict prefix filter, memoized per bucket.
+        // Stage 3b: the strict prefix filter, folding only new samples.
         let strict = self
             .strict
             .retain_strict(&profiles, &stats.by_prefix, pipeline.threads);

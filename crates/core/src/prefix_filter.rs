@@ -18,10 +18,11 @@
 //!
 //! The strict filter has one implementation, `StrictMemo::retain_strict`,
 //! over the per-`(operator, /24)` buckets
-//! [`CorpusStats`](crate::CorpusStats) folds. Each bucket's outcome is
-//! memoized on its length and the outlier-ASN set, so a batch run (a
-//! fresh memo) evaluates every bucket, and an online snapshot only the
-//! buckets that grew since the last one.
+//! [`CorpusStats`](crate::CorpusStats) folds. Each bucket keeps a running
+//! state with its counted latencies sorted, so a batch run (a fresh
+//! memo) folds every bucket whole, once, and an online snapshot sorts
+//! only the samples that arrived since the last one and merges them in;
+//! a shift in the outlier-ASN set folds every bucket whole again.
 //! [`strict_filter_from_buckets`] is that filter on a fresh memo.
 
 use crate::validate::{AsnProfile, AsnVerdict};
@@ -29,6 +30,7 @@ use sno_stats::FiveNumber;
 use sno_types::par;
 use sno_types::{AccessKind, Asn, Operator, OrbitClass, Prefix24};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, PoisonError};
 
 /// Minimum tests for a prefix to be considered by the strict filter.
 pub const STRICT_MIN_TESTS: usize = 10;
@@ -80,87 +82,110 @@ fn floor_of(access: AccessKind) -> f64 {
     }
 }
 
-/// How the strict stage ruled on one `(operator, /24)` bucket.
-///
-/// A bucket's outcome depends only on its own samples and the current
-/// outlier-ASN set, which makes it the unit [`StrictMemo`] memoizes:
-/// buckets are append-only, so an unchanged `(sample count, outlier
-/// set)` pair implies an unchanged outcome.
-#[derive(Debug, Clone)]
-enum BucketOutcome {
-    /// Every sample came from an outlier ASN; the bucket was never
-    /// examined.
-    Empty,
-    /// Fewer than [`STRICT_MIN_TESTS`] non-outlier samples.
-    Thin,
-    /// At least one sample at or below the regime floor.
-    Band,
-    /// Survived the strict filter.
-    Retained(PrefixStat),
+/// The strict stage's running state for one `(operator, /24)` bucket,
+/// folded from the bucket's samples in record order. Buckets are
+/// append-only, so a carried accumulator folds only the samples that
+/// arrived since its last call, and its outcome is read off in O(1).
+#[derive(Debug, Clone, Default)]
+struct BucketAcc {
+    /// Samples of the bucket folded so far.
+    folded: usize,
+    /// Of those, samples from non-outlier ASNs: the tests the strict
+    /// stage counts.
+    kept: usize,
+    /// Set once a kept sample sat at or below the regime floor (NaN
+    /// included, since `l > floor` is false for it). Sticky: the bucket
+    /// can never pass again.
+    at_floor: bool,
+    /// The kept latencies in `f64::total_cmp` order while `at_floor` is
+    /// clear; emptied when it is set.
+    sorted: Vec<f64>,
 }
 
-/// Evaluate the strict filter on a single `(operator, /24)` bucket.
-fn strict_eval_bucket(
-    op: Operator,
-    prefix: Prefix24,
-    samples: &[(Asn, f64)],
-    outlier_asns: &BTreeSet<Asn>,
-) -> BucketOutcome {
-    let latencies: Vec<f64> = samples
-        .iter()
-        .filter(|(asn, _)| !outlier_asns.contains(asn))
-        .map(|&(_, l)| l)
-        .collect();
-    if latencies.is_empty() {
-        return BucketOutcome::Empty;
+impl BucketAcc {
+    /// Fold in the samples `samples` gained since the last call, or all
+    /// of them, from empty, if the bucket is shorter than what was
+    /// folded.
+    fn fold_tail(&mut self, samples: &[(Asn, f64)], floor: f64, outliers: &BTreeSet<Asn>) {
+        if samples.len() < self.folded {
+            *self = BucketAcc::default();
+        }
+        let tail = samples.get(self.folded..).unwrap_or_default();
+        self.folded = samples.len();
+        let kept = tail
+            .iter()
+            .filter(|(asn, _)| !outliers.contains(asn))
+            .map(|&(_, l)| l);
+        if self.at_floor {
+            self.kept += kept.count();
+            return;
+        }
+        let mut fresh: Vec<f64> = kept.collect();
+        self.kept += fresh.len();
+        if !fresh.iter().all(|&l| l > floor) {
+            self.at_floor = true;
+            self.sorted = Vec::new();
+            return;
+        }
+        fresh.sort_by(f64::total_cmp);
+        if self.sorted.is_empty() {
+            self.sorted = fresh;
+        } else {
+            merge_sorted_tail(&mut self.sorted, &fresh);
+        }
     }
-    if latencies.len() < STRICT_MIN_TESTS {
-        return BucketOutcome::Thin;
-    }
-    let floor = floor_of(sno_registry::sources::access_of(op));
-    if latencies.iter().all(|&l| l > floor) {
-        let min = latencies.iter().cloned().fold(f64::INFINITY, f64::min);
-        match FiveNumber::of(&latencies) {
-            Some(summary) => BucketOutcome::Retained(PrefixStat {
-                operator: op,
+
+    /// Count this bucket's outcome into `strict`. A bucket whose every
+    /// sample came from an outlier ASN was never examined.
+    fn tally(&self, operator: Operator, prefix: Prefix24, strict: &mut StrictOutcome) {
+        if self.kept == 0 {
+            return;
+        }
+        strict.examined += 1;
+        if self.kept < STRICT_MIN_TESTS {
+            strict.rejected_thin += 1;
+            return;
+        }
+        match FiveNumber::from_sorted(&self.sorted) {
+            Some(summary) if !self.at_floor => strict.retained.push(PrefixStat {
+                operator,
                 prefix,
-                tests: latencies.len(),
-                min_latency_ms: min,
+                tests: self.kept,
+                min_latency_ms: summary.min,
                 summary,
             }),
-            // Unsummarisable means empty, which the thin-prefix gate
-            // already counts.
-            None => BucketOutcome::Thin,
+            _ => strict.rejected_band += 1,
         }
-    } else {
-        BucketOutcome::Band
     }
 }
 
-/// One borrowed `(key, samples)` entry of a per-`(operator, /24)`
-/// bucket map, as sharded by [`StrictMemo::retain_strict`].
-type PrefixEntry<'a> = (&'a (Operator, Prefix24), &'a Vec<(Asn, f64)>);
-
-/// Fold per-bucket outcomes (in bucket order) into a [`StrictOutcome`].
-fn collect_strict<'a>(outcomes: impl IntoIterator<Item = &'a BucketOutcome>) -> StrictOutcome {
-    let mut retained = Vec::new();
-    let mut examined = 0usize;
-    let mut rejected_band = 0usize;
-    let mut rejected_thin = 0usize;
-    for outcome in outcomes {
-        match outcome {
-            BucketOutcome::Empty => continue,
-            BucketOutcome::Thin => rejected_thin += 1,
-            BucketOutcome::Band => rejected_band += 1,
-            BucketOutcome::Retained(stat) => retained.push(stat.clone()),
+/// Merge the `total_cmp`-sorted `tail` into the sorted `sorted` in
+/// place: grow it by the tail's length and fill the slots from the
+/// back with the larger of the two runs' last unmerged values, so the
+/// values below the tail's minimum never move. Values equal under
+/// `total_cmp` have identical bits, so the result equals sorting the
+/// concatenation.
+fn merge_sorted_tail(sorted: &mut Vec<f64>, tail: &[f64]) {
+    let mut head = sorted.len();
+    sorted.extend_from_slice(tail);
+    let mut rest = tail;
+    for slot in (0..sorted.len()).rev() {
+        let Some((&last, before)) = rest.split_last() else {
+            break;
+        };
+        let value = match head.checked_sub(1).and_then(|h| sorted.get(h)) {
+            Some(&h) if h.total_cmp(&last).is_gt() => {
+                head -= 1;
+                h
+            }
+            _ => {
+                rest = before;
+                last
+            }
+        };
+        if let Some(out) = sorted.get_mut(slot) {
+            *out = value;
         }
-        examined += 1;
-    }
-    StrictOutcome {
-        retained,
-        examined,
-        rejected_band,
-        rejected_thin,
     }
 }
 
@@ -174,28 +199,36 @@ fn outlier_set(profiles: &[AsnProfile]) -> BTreeSet<Asn> {
         .collect()
 }
 
-/// The strict filter with its per-bucket memo: the one implementation
-/// of stage 3b. An empty memo evaluates every bucket
+/// One bucket paired with its accumulator, as sharded by
+/// [`StrictMemo::retain_strict`].
+type Pairing<'a> = (
+    &'a (Operator, Prefix24),
+    &'a [(Asn, f64)],
+    &'a mut BucketAcc,
+);
+
+/// The strict filter with its per-bucket accumulators: the one
+/// implementation of stage 3b. An empty memo folds every bucket whole
 /// ([`strict_filter_from_buckets`], and each batch run); the online
-/// identifier keeps one across snapshots and re-evaluates only the
-/// buckets that grew, or every bucket when the outlier set shifted.
+/// identifier keeps one across snapshots and folds only the samples
+/// each bucket gained since, or every bucket whole again when the
+/// outlier set shifted.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StrictMemo {
-    /// `(operator, /24)` → (bucket length, outlier revision, outcome).
-    buckets: BTreeMap<(Operator, Prefix24), (usize, u64, BucketOutcome)>,
-    /// Bumped whenever the outlier-ASN set shifts (invalidates every
-    /// entry at once).
-    outlier_rev: u64,
+    /// `(operator, /24)` → the bucket's running strict state.
+    buckets: BTreeMap<(Operator, Prefix24), BucketAcc>,
+    /// The outlier-ASN set every accumulator was folded under.
     outliers: BTreeSet<Asn>,
 }
 
 impl StrictMemo {
     /// Run the strict filter over `by_prefix` under the outlier set
-    /// `profiles` imply, reusing every outcome whose bucket length and
-    /// outlier revision are unchanged. The buckets left to evaluate are
+    /// `profiles` imply, folding into each bucket's accumulator only
+    /// the samples it has not folded yet. The buckets that grew are
     /// sharded in [`par::DEFAULT_CHUNK`] runs on up to `threads`
-    /// workers (`0` = all cores) and folded in bucket order, so the
-    /// outcome is identical at every thread count and memo state.
+    /// workers (`0` = all cores) and the outcomes read in bucket
+    /// order, so the outcome is identical at every thread count and
+    /// memo state.
     pub(crate) fn retain_strict(
         &mut self,
         profiles: &[AsnProfile],
@@ -204,44 +237,70 @@ impl StrictMemo {
     ) -> StrictOutcome {
         let outliers = outlier_set(profiles);
         if outliers != self.outliers {
-            self.outlier_rev += 1;
+            // Any kept sample may now be dropped, or the reverse.
+            self.buckets.clear();
             self.outliers = outliers;
         }
-        // A memoized outcome holds while its bucket's length and the
-        // outlier revision do; the rest are evaluated and memoized.
-        let rev = self.outlier_rev;
-        let mut outcomes: Vec<Option<BucketOutcome>> = by_prefix
-            .iter()
-            .map(|(key, samples)| {
-                self.buckets.get(key).and_then(|(len, orev, out)| {
-                    (*len == samples.len() && *orev == rev).then(|| out.clone())
+        if self.buckets.is_empty() {
+            self.buckets = by_prefix
+                .keys()
+                .map(|&key| (key, BucketAcc::default()))
+                .collect();
+        } else {
+            // Both key sets are sorted: one merge walk finds the new ones.
+            let mut known = self.buckets.keys().peekable();
+            let lacking: Vec<(Operator, Prefix24)> = by_prefix
+                .keys()
+                .filter(|&key| {
+                    while known.next_if(|&k| k < key).is_some() {}
+                    known.next_if_eq(&key).is_none()
                 })
+                .copied()
+                .collect();
+            self.buckets
+                .extend(lacking.into_iter().map(|key| (key, BucketAcc::default())));
+        }
+
+        // Pair the buckets with their accumulators in one lockstep walk;
+        // the memo holds every key of `by_prefix`, and skips any other.
+        let mut accs = self.buckets.iter_mut();
+        let mut pairs: Vec<Pairing> = by_prefix
+            .iter()
+            .filter_map(|(key, samples)| {
+                let (_, acc) = accs.find(|(k, _)| *k == key)?;
+                Some((key, samples.as_slice(), acc))
             })
             .collect();
-        let stale: Vec<PrefixEntry> = by_prefix
-            .iter()
-            .zip(&outcomes)
-            .filter_map(|(entry, outcome)| outcome.is_none().then_some(entry))
+        let mut grown: Vec<&mut Pairing> = pairs
+            .iter_mut()
+            .filter(|(_, samples, acc)| acc.folded != samples.len())
             .collect();
-        let shards: Vec<&[PrefixEntry]> = stale.chunks(par::DEFAULT_CHUNK).collect();
+        let shards: Vec<Mutex<&mut [&mut Pairing]>> = grown
+            .chunks_mut(par::DEFAULT_CHUNK)
+            .map(Mutex::new)
+            .collect();
         let outliers = &self.outliers;
-        let fresh = par::shard_map(shards.len(), threads, |s| {
-            let shard = shards.get(s).copied().unwrap_or_default();
-            shard
-                .iter()
-                .map(|(&(op, prefix), samples)| strict_eval_bucket(op, prefix, samples, outliers))
-                .collect::<Vec<_>>()
-        });
-        let mut fresh = fresh.into_iter().flatten();
-        for ((&key, samples), outcome) in by_prefix.iter().zip(&mut outcomes) {
-            if outcome.is_none() {
-                *outcome = fresh.next();
-                if let Some(out) = outcome {
-                    self.buckets.insert(key, (samples.len(), rev, out.clone()));
-                }
+        par::shard_map(shards.len(), threads, |s| {
+            let Some(shard) = shards.get(s) else {
+                return;
+            };
+            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            for (&(op, _), samples, acc) in shard.iter_mut() {
+                let floor = floor_of(sno_registry::sources::access_of(op));
+                acc.fold_tail(samples, floor, outliers);
             }
+        });
+
+        let mut strict = StrictOutcome {
+            retained: Vec::new(),
+            examined: 0,
+            rejected_band: 0,
+            rejected_thin: 0,
+        };
+        for (&(op, prefix), _, acc) in &pairs {
+            acc.tally(op, prefix, &mut strict);
         }
-        collect_strict(outcomes.iter().flatten())
+        strict
     }
 }
 
@@ -379,6 +438,119 @@ mod tests {
                 format!("{:?}", memo.retain_strict(&profiles, &by_prefix, 1)),
                 format!("{fresh:?}"),
                 "{tests} tests"
+            );
+        }
+    }
+
+    #[test]
+    fn carried_memo_folds_appends_like_a_fresh_one() {
+        // One MEO-floor operator (SES, 200 ms) and one GEO-floor one
+        // (HughesNet, 500 ms), each with a kept and an outlier ASN and
+        // four /24s: `grow` passes 9 -> 10 -> 11 kept samples, takes a
+        // new minimum and a duplicate, then a sample at the floor;
+        // `pos_nan` and `neg_nan` take a NaN of either sign; `lone` only
+        // ever hears from the outlier ASN. Outlier samples, some below
+        // the floor, are interleaved throughout.
+        let regimes = [
+            (Operator::Ses, MEO_FLOOR_MS, Asn(12684), Asn(201554)),
+            (Operator::Hughes, GEO_FLOOR_MS, Asn(28613), Asn(1358)),
+        ];
+        let profiles = [
+            profile_one(
+                Operator::Ses,
+                Asn(201554),
+                &[650.0; 30],
+                LatencyBands::default(),
+            ),
+            profile_one(
+                Operator::Hughes,
+                Asn(1358),
+                &[20.0; 30],
+                LatencyBands::default(),
+            ),
+        ];
+        assert!(profiles
+            .iter()
+            .all(|p| matches!(p.verdict, AsnVerdict::Outlier(_))));
+        let [grow, pos_nan, neg_nan, lone] = [0, 1, 2, 3].map(|c| Prefix24::new(10, 0, c));
+        // Per step and regime: (prefix, outlier?, latency above the floor).
+        let steps: Vec<Vec<(Prefix24, bool, f64)>> = vec![
+            (0..9)
+                .flat_map(|i| {
+                    let kept = (grow, false, 100.0 + 10.0 * f64::from(i));
+                    let outlier = (grow, true, -150.0);
+                    std::iter::once(kept).chain((i % 3 == 0).then_some(outlier))
+                })
+                .chain((0..12).map(|i| (pos_nan, false, 20.0 + f64::from(i))))
+                .chain((0..12).map(|i| (neg_nan, false, 40.0 + f64::from(i))))
+                .chain([(lone, true, -100.0); 5])
+                .collect(),
+            vec![
+                (grow, true, -1.0),
+                (grow, false, 190.0),
+                (pos_nan, false, f64::NAN),
+                (lone, true, 1.0),
+            ],
+            vec![
+                (grow, false, 200.0),
+                (neg_nan, true, -f64::NAN),
+                (neg_nan, false, -f64::NAN),
+                (pos_nan, false, 500.0),
+            ],
+            vec![
+                (grow, false, 1.0),
+                (grow, true, 0.0),
+                (grow, false, 155.0),
+                (grow, false, 500.0),
+            ],
+            vec![(grow, false, 150.0), (grow, true, -300.0)],
+            vec![(grow, true, 50.0), (grow, false, 0.0)],
+            vec![(grow, false, 300.0), (grow, false, 400.0)],
+        ];
+        // (retained, band, thin, examined) over both regimes, and the
+        // `grow` prefixes' test count while they are retained.
+        let expect = [
+            ((4, 0, 2, 6), None),
+            ((4, 2, 0, 6), Some(10)),
+            ((2, 4, 0, 6), Some(11)),
+            ((2, 4, 0, 6), Some(14)),
+            ((2, 4, 0, 6), Some(15)),
+            ((0, 6, 0, 6), None),
+            ((0, 6, 0, 6), None),
+        ];
+        let mut by_prefix: BTreeMap<(Operator, Prefix24), Vec<(Asn, f64)>> = BTreeMap::new();
+        let mut memo = StrictMemo::default();
+        for (step, (appends, (counts, grow_tests))) in steps.iter().zip(expect).enumerate() {
+            for &(op, floor, kept, outlier) in &regimes {
+                for &(prefix, from_outlier, above) in appends {
+                    let asn = if from_outlier { outlier } else { kept };
+                    let latency = if above.is_nan() { above } else { floor + above };
+                    by_prefix
+                        .entry((op, prefix))
+                        .or_default()
+                        .push((asn, latency));
+                }
+            }
+            let carried = memo.retain_strict(&profiles, &by_prefix, 1);
+            let fresh = strict_filter_from_buckets(&profiles, &by_prefix, 1);
+            assert_eq!(format!("{carried:?}"), format!("{fresh:?}"), "step {step}");
+            let got = (
+                carried.retained.len(),
+                carried.rejected_band,
+                carried.rejected_thin,
+                carried.examined,
+            );
+            assert_eq!(got, counts, "step {step}");
+            let grown: Vec<usize> = carried
+                .retained
+                .iter()
+                .filter(|p| p.prefix == grow)
+                .map(|p| p.tests)
+                .collect();
+            assert_eq!(
+                grown,
+                grow_tests.map_or(vec![], |t| vec![t; 2]),
+                "step {step}"
             );
         }
     }

@@ -652,6 +652,151 @@ proptest! {
     }
 }
 
+/// ASNs the strict-memo property feeds, each with its operator's
+/// regime floor: SES's two (MEO+GEO, so the MEO floor), HughesNet's two
+/// and Viasat's (GEO), O3b's (MEO). The schedule flips AS1358's verdict.
+const STRICT_ASNS: [(u32, f64); 6] = [
+    (12684, 200.0),
+    (201554, 200.0),
+    (28613, 500.0),
+    (1358, 500.0),
+    (13955, 500.0),
+    (60725, 200.0),
+];
+
+/// The ASN whose verdict the strict-memo property flips.
+const FLIPPED_ASN: u32 = 1358;
+
+/// Latencies the strict filter decides at: NaN of either sign, −0.0
+/// and both regime floors exactly.
+const STRICT_LATENCIES: [f64; 5] = [f64::NAN, -f64::NAN, -0.0, 200.0, 500.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The strict filter's carried memo against a fresh one. Records
+    /// from six non-LEO ASNs land in four /24s per operator, with
+    /// latencies at NaN of either sign, −0.0, the exact floors, or
+    /// above the ASN's floor. They arrive in appends cut at random
+    /// points, and after some appends (one flag per window) a batch
+    /// from AS1358, into one of those /24s or a fifth of its own, flips
+    /// its verdict between outlier and not, by terrestrial (20 ms) or
+    /// GEO (650 ms) samples, so the outlier set shifts between
+    /// snapshots.
+    /// After every append, the strict outcome of online identifiers at
+    /// 1 and 2 threads, whose stage caches carry the memo, must equal
+    /// `strict_filter_from_buckets` over the same buckets at 1 and 2
+    /// threads.
+    #[test]
+    fn carried_strict_memo_matches_a_fresh_filter(
+        picks in prop::collection::vec(
+            (0..STRICT_ASNS.len(), 0..4u8, 0..8 * STRICT_LATENCIES.len(), 0.0..400.0f64),
+            0..300,
+        ),
+        cuts in prop::collection::vec(0..300usize, 0..8),
+        flips in prop::collection::vec((any::<bool>(), 0..5u8), 9..10),
+    ) {
+        use sno_dissect::core::prefix_filter::strict_filter_from_buckets;
+        use sno_dissect::core::validate::profile_one;
+        use sno_dissect::core::{
+            map_asns, AsnVerdict, CorpusStats, LatencyBands, OnlineIdentifier, Pipeline,
+            StreamOptions,
+        };
+        use sno_dissect::types::records::NdtRecord;
+        use sno_dissect::types::{Mbps, Millis, Timestamp};
+
+        let record = |i: usize, asn: u32, latency: f64, c: u8| NdtRecord {
+            timestamp: Timestamp(i as u64),
+            client: Ipv4::new(10, 0, c, 1),
+            asn: Asn(asn),
+            latency_p5: Millis(latency),
+            jitter_p95: Millis(10.0),
+            retrans_fraction: 0.01,
+            download: Mbps(50.0),
+        };
+        let records: Vec<NdtRecord> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, c, l, x))| {
+                let (asn, floor) = STRICT_ASNS[a];
+                let latency = STRICT_LATENCIES.get(l).copied().unwrap_or(floor + x);
+                record(i, asn, latency, c)
+            })
+            .collect();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(records.len())).collect();
+        bounds.extend([0, records.len()]);
+        bounds.sort_unstable();
+        bounds.dedup();
+
+        // The appends: each cut window, and after some of them a batch
+        // that pushes AS1358 across the outlier line, with the verdict
+        // it must then have.
+        let is_outlier = |latencies: &[f64]| {
+            let p = profile_one(
+                Operator::Hughes,
+                Asn(FLIPPED_ASN),
+                latencies,
+                LatencyBands::default(),
+            );
+            matches!(p.verdict, AsnVerdict::Outlier(_))
+        };
+        let mut flipped_latencies: Vec<f64> = Vec::new();
+        let mut appends: Vec<(Vec<NdtRecord>, Option<bool>)> = Vec::new();
+        for (w, &(flip, c)) in bounds.windows(2).zip(&flips) {
+            let window = records[w[0]..w[1]].to_vec();
+            flipped_latencies.extend(
+                window
+                    .iter()
+                    .filter(|r| r.asn == Asn(FLIPPED_ASN))
+                    .map(|r| r.latency_p5.0),
+            );
+            appends.push((window, None));
+            if flip {
+                let was = is_outlier(&flipped_latencies);
+                let push = if was { 650.0 } else { 20.0 };
+                let mut batch = Vec::new();
+                while is_outlier(&flipped_latencies) == was {
+                    flipped_latencies.push(push);
+                    batch.push(record(batch.len(), FLIPPED_ASN, push, c));
+                }
+                appends.push((batch, Some(!was)));
+            }
+        }
+
+        let mapping = map_asns();
+        let mut reference = CorpusStats::new();
+        let mut online = [1, 2].map(|t| OnlineIdentifier::new(Pipeline::with_threads(t)));
+        for (step, (batch, outlier)) in appends.iter().enumerate() {
+            for rec in batch {
+                reference.observe(&mapping, rec);
+            }
+            for identifier in &mut online {
+                identifier.ingest(batch);
+                let report = identifier.snapshot(StreamOptions::default());
+                if let Some(outlier) = outlier {
+                    let verdict = report
+                        .profiles
+                        .iter()
+                        .find(|p| p.asn == Asn(FLIPPED_ASN))
+                        .map(|p| matches!(p.verdict, AsnVerdict::Outlier(_)));
+                    prop_assert_eq!(verdict, Some(*outlier), "step {}", step);
+                }
+                for threads in [1, 2] {
+                    let fresh =
+                        strict_filter_from_buckets(&report.profiles, &reference.by_prefix, threads);
+                    prop_assert_eq!(
+                        format!("{:?}", report.strict),
+                        format!("{fresh:?}"),
+                        "step {} threads {}",
+                        step,
+                        threads
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Codec wire layout (see `sno_types::codec`): a 16-byte header, then
 /// frames of a 4-byte length prefix and a 48-byte body.
 const CODEC_HEADER_LEN: usize = 16;
