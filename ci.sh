@@ -120,12 +120,16 @@ run online-gate cargo run --release --offline -p sno-bench --bin repro -- \
 
 # Output gate: repro's stdout for every experiment at the default scale
 # must equal the committed tests/corpora/repro_default.txt byte for byte,
-# at the default settings, at one thread and with chunked generation.
+# at the default settings, at one thread, at two threads and with
+# chunked generation. The two-thread run holds the multi-worker pass 1
+# (chunk partials merged in order) to the golden on every box: on a
+# one-core box the default resolves to one worker, which folds each
+# chunk straight into the statistics.
 # A change that is meant to alter a figure regenerates the file with
 # `./target/release/repro > tests/corpora/repro_default.txt` and says so.
 repro_golden() {
     local golden=tests/corpora/repro_default.txt args
-    for args in "" "--threads 1" "--chunk 4096"; do
+    for args in "" "--threads 1" "--threads 2" "--chunk 4096"; do
         # $args is unquoted on purpose: it splits into flags.
         # shellcheck disable=SC2086
         if ! ./target/release/repro $args 2>/dev/null | diff -u "$golden" -; then

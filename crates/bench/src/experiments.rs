@@ -684,7 +684,6 @@ fn fig8b(ctx: &ReproContext) -> String {
     }
 }
 
-// sno-lint: allow(panic-reachable): repro entry point: reachable sites are leaf-justified invariants (length-guarded hot-path indexing, exhaustive table lookups); aborting beats publishing corrupt figures
 fn fig9(ctx: &ReproContext) -> String {
     let mut rng = Rng::new(ctx.config().seed).substream_named("apps-speedtest");
     let panel = sno_apps::panel(ctx.config().seed);

@@ -8,10 +8,12 @@
 //! record. This module folds the per-ASN work into sorted lookup
 //! tables built once per pipeline run. The statistics fold resolves
 //! each run of records from one ASN to its [`Slot`] once (a binary
-//! search over ~67 ASNs); the accept decision is then an array lookup
-//! by slot plus one comparison, with decisions *identical* to the
-//! row-at-a-time reference (`row_accept`, kept in this module's tests
-//! as the oracle the table is checked against).
+//! search over ~67 ASNs); the accept replay then looks a record's rule
+//! up by slot and, when the rule reads no latency, decides the slot's
+//! whole run at once, with decisions *identical* to the row-at-a-time
+//! reference (`row_accept`, kept in this module's tests as the oracle
+//! the table is checked against, beside the record-at-a-time replay the
+//! run-wise one is checked against).
 
 use crate::asn_map::AsnMapping;
 use crate::prefix_filter::MEO_FLOOR_MS;
@@ -19,6 +21,7 @@ use crate::stream::{AcceptPass, CorpusStats, StreamOptions};
 use crate::validate::{AsnVerdict, LatencyBands};
 use sno_types::{AccessKind, Asn, Operator, OrbitClass};
 use std::collections::BTreeMap;
+use std::iter;
 
 /// A record's *slot*: its ASN's position in the sorted [`AsnOps`] index,
 /// which is also the position of the ASN's rule in the [`AcceptTable`],
@@ -91,7 +94,7 @@ impl AsnOps {
     /// The operator an ASN maps to (the indexed `operator_of`).
     pub fn get(&self, asn: Asn) -> Option<Operator> {
         let i = self.asns.binary_search(&asn).ok()?;
-        Some(self.ops[i])
+        self.ops.get(i).copied()
     }
 
     /// The slot of an ASN: its position in this index, or [`UNMAPPED`].
@@ -131,6 +134,17 @@ impl AsnRule {
             AsnRule::Accept(op) => Some(op),
             AsnRule::AboveExclusive(op, floor) => (latency_ms > floor).then_some(op),
             AsnRule::AtLeast(op, threshold) => (latency_ms >= threshold).then_some(op),
+        }
+    }
+
+    /// The decision every record of this rule's ASN gets whatever its
+    /// latency, for the rules that read none (`Reject`, `Accept`);
+    /// `None` for the rules that compare each record's latency.
+    fn fixed(self) -> Option<Option<Operator>> {
+        match self {
+            AsnRule::Reject => Some(None),
+            AsnRule::Accept(op) => Some(Some(op)),
+            AsnRule::AboveExclusive(..) | AsnRule::AtLeast(..) => None,
         }
     }
 
@@ -216,7 +230,13 @@ impl AcceptTable {
 /// The k-th record of a slot carries the k-th latency of that slot's
 /// bucket, so `AcceptState::replay` decides records by walking the
 /// slot column with one cursor per slot into the buckets, without a
-/// second pass over the source.
+/// second pass over the source. A rule that reads no latency
+/// (`Accept`, `Reject`, an unmapped slot) decides its slot's whole run
+/// of equal slots at once, with one lane lookup: the run's bits are
+/// appended a word at a time, its count added once, its accepted
+/// latencies copied as one slice. The latency rules (`AboveExclusive`,
+/// `AtLeast`) compare record by record and never look for the end of
+/// their run, so a one-record run costs what its record costs.
 /// [`Pipeline::run_streamed`](crate::pipeline::Pipeline::run_streamed)
 /// replays every record once. The online identifier keeps the state
 /// across snapshots, with the exact table it was decided under, so a
@@ -346,26 +366,62 @@ impl AcceptState {
                 by_op.entry(op).or_default().reserve(tail);
             }
         }
-        for &slot in slots {
-            // Unmapped records have no lane and are rejected without a
-            // latency.
-            let decision = lanes.get_mut(usize::from(slot)).and_then(|lane| {
-                // The bucket covers the cursor while the slot column and
-                // the buckets grow together; NaN keeps the walk total.
-                let lat = lane.bucket.get(lane.cursor).copied().unwrap_or(f64::NAN);
-                lane.cursor += 1;
-                let decision = lane.rule.decide(lat);
-                if let Some(op) = decision {
-                    lane.accepted += 1;
+        let mut rest = slots;
+        while let Some((&slot, after)) = rest.split_first() {
+            // An unmapped slot has no lane: its records are rejected
+            // without a latency.
+            let lane = lanes.get_mut(usize::from(slot));
+            match lane.as_ref().map_or(Some(None), |lane| lane.rule.fixed()) {
+                // A rule that reads no latency settles the slot's whole
+                // run at once.
+                Some(decision) => {
+                    let n = 1 + after.iter().take_while(|&&next| next == slot).count();
+                    rest = after.get(n - 1..).unwrap_or_default();
+                    bitmap.push_run(decision.is_some(), n);
+                    if let Some(dense) = dense.as_mut() {
+                        dense.extend(iter::repeat_n(decision, n));
+                    }
+                    let Some(lane) = lane else {
+                        continue;
+                    };
+                    let tail = lane.bucket.get(lane.cursor..).unwrap_or_default();
+                    lane.cursor += n;
+                    let Some(op) = decision else {
+                        continue;
+                    };
+                    lane.accepted += n as u64;
                     if let Some(by_op) = latencies.as_mut() {
-                        by_op.entry(op).or_default().push(lat);
+                        // The bucket covers the run while the slot column
+                        // and the buckets grow together; a latency past
+                        // its end reads as NaN, as record by record.
+                        let lats = tail.get(..n).unwrap_or(tail);
+                        let out = by_op.entry(op).or_default();
+                        out.extend_from_slice(lats);
+                        if lats.len() < n {
+                            out.resize(out.len() + n - lats.len(), f64::NAN);
+                        }
                     }
                 }
-                decision
-            });
-            bitmap.push(decision.is_some());
-            if let Some(dense) = dense.as_mut() {
-                dense.push(decision);
+                // The latency rules decide record by record, without
+                // looking for the end of the run: a one-record run costs
+                // what the record costs.
+                None => {
+                    rest = after;
+                    let decision = lane.and_then(|lane| {
+                        let lat = lane.bucket.get(lane.cursor).copied().unwrap_or(f64::NAN);
+                        lane.cursor += 1;
+                        let decision = lane.rule.decide(lat);
+                        lane.accepted += u64::from(decision.is_some());
+                        if let Some((by_op, op)) = latencies.as_mut().zip(decision) {
+                            by_op.entry(op).or_default().push(lat);
+                        }
+                        decision
+                    });
+                    bitmap.push(decision.is_some());
+                    if let Some(dense) = dense.as_mut() {
+                        dense.push(decision);
+                    }
+                }
             }
         }
         if let Some(by_op) = latencies.as_mut() {
@@ -430,6 +486,75 @@ mod tests {
                 (rec.latency_p5.0 >= threshold).then_some(op)
             }
         }
+    }
+
+    /// Replay every record of `stats` one at a time under `table`: the
+    /// per-record walk the run-wise [`AcceptState::replay`] is checked
+    /// against. Each record reads its slot's next latency (NaN past the
+    /// bucket's end) and its rule decides it.
+    fn replay_record_by_record(
+        table: &AcceptTable,
+        stats: &CorpusStats,
+        opts: StreamOptions,
+    ) -> AcceptPass {
+        let mut pass = AcceptPass::empty(opts);
+        let mut cursors = vec![0usize; table.rules.len()];
+        for &slot in &stats.slots {
+            let i = usize::from(slot);
+            let decision = table.rules.get(i).and_then(|rule| {
+                let bucket = stats
+                    .by_asn
+                    .get(&table.asns[i])
+                    .map_or(&[][..], Vec::as_slice);
+                let lat = bucket.get(cursors[i]).copied().unwrap_or(f64::NAN);
+                cursors[i] += 1;
+                let decision = rule.decide(lat);
+                if let (Some(op), Some(by_op)) = (decision, pass.latencies.as_mut()) {
+                    by_op.entry(op).or_default().push(lat);
+                }
+                decision
+            });
+            if let Some(op) = decision {
+                *pass.counts.entry(op).or_default() += 1;
+            }
+            pass.bitmap.push(decision.is_some());
+            if let Some(dense) = pass.dense.as_mut() {
+                dense.push(decision);
+            }
+        }
+        pass
+    }
+
+    /// Everything an [`AcceptPass`] holds, comparable bit for bit: the
+    /// bitmap's words (through `Debug`), each bit, its length and count,
+    /// the counts, the dense vector and the latencies' bit patterns.
+    type PassBits = (
+        String,
+        Vec<bool>,
+        usize,
+        usize,
+        BTreeMap<Operator, u64>,
+        Option<Vec<Option<Operator>>>,
+        Option<BTreeMap<Operator, Vec<u64>>>,
+    );
+
+    fn pass_bits(pass: &AcceptPass) -> PassBits {
+        let bitmap = &pass.bitmap;
+        let latencies = pass.latencies.as_ref().map(|by_op| {
+            by_op
+                .iter()
+                .map(|(&op, lats)| (op, lats.iter().map(|l| l.to_bits()).collect()))
+                .collect()
+        });
+        (
+            format!("{bitmap:?}"),
+            (0..bitmap.len()).map(|i| bitmap.get(i)).collect(),
+            bitmap.len(),
+            bitmap.count_ones(),
+            pass.counts.clone(),
+            pass.dense.clone(),
+            latencies,
+        )
     }
 
     #[test]
@@ -549,5 +674,88 @@ mod tests {
         );
         // Unmapped ASNs never match.
         assert_eq!(table.decide(Asn(398101), 600.0), None);
+    }
+
+    #[test]
+    fn run_wise_replay_matches_the_record_by_record_walk() {
+        // One ASN per rule: a LEO ASN (`Accept`), an ASN with an outlier
+        // verdict (`Reject`), the MEO floor (`AboveExclusive`), a relaxed
+        // threshold (`AtLeast`) and an unmapped ASN. Each gets runs of 1,
+        // 63, 64, 65 and 130 records, back to back, so runs start at many
+        // offsets within a bitmap word. The latencies sit on, just below
+        // and above each threshold, with NaNs of either sign.
+        let mapping = map_asns();
+        let viasat = mapping.mapping[&Operator::Viasat][0];
+        let (accept, reject, meo, unmapped) = (Asn(14593), Asn(27277), Asn(60725), Asn(398101));
+        let verdicts = BTreeMap::from([(reject, AsnVerdict::Outlier("test"))]);
+        let thresholds = BTreeMap::from([(Operator::Viasat, 548.9)]);
+        let table = AcceptTable::build(&mapping, &verdicts, &thresholds, 527.0);
+        let index = AsnOps::new(&mapping);
+        let rule = |asn| table.rules.get(usize::from(index.slot(asn))).copied();
+        assert_eq!(rule(accept), Some(AsnRule::Accept(Operator::Starlink)));
+        assert_eq!(rule(reject), Some(AsnRule::Reject));
+        assert_eq!(
+            rule(meo),
+            Some(AsnRule::AboveExclusive(Operator::O3b, MEO_FLOOR_MS))
+        );
+        assert_eq!(
+            rule(viasat),
+            Some(AsnRule::AtLeast(Operator::Viasat, 548.9))
+        );
+        assert_eq!(rule(unmapped), None);
+        let lats = [
+            MEO_FLOOR_MS,
+            548.9,
+            f64::NAN,
+            MEO_FLOOR_MS + 0.001,
+            548.89,
+            -f64::NAN,
+            35.0,
+            600.0,
+        ];
+        let mut records: Vec<(Asn, f64)> = Vec::new();
+        for len in [1usize, 63, 64, 65, 130] {
+            for asn in [accept, reject, meo, viasat, unmapped] {
+                let at = records.len();
+                records.extend((at..at + len).map(|i| (asn, lats[i % lats.len()])));
+            }
+        }
+        let stats_of = |records: &[(Asn, f64)]| {
+            let mut stats = CorpusStats::new();
+            for &(asn, lat) in records {
+                stats.records += 1;
+                stats.slots.push(index.slot(asn));
+                stats.by_asn.entry(asn).or_default().push(lat);
+            }
+            stats
+        };
+        let n = records.len();
+        for dense_acceptance in [false, true] {
+            for operator_latencies in [false, true] {
+                let opts = StreamOptions {
+                    dense_acceptance,
+                    operator_latencies,
+                    ..StreamOptions::default()
+                };
+                // Whole, one record at a time, and in steps whose cut
+                // falls mid-run and mid-word, and on word boundaries.
+                for step in [n, 1, 37, 64, 100] {
+                    let mut state = AcceptState::new();
+                    state.reset(table.clone(), opts);
+                    let mut cut = 0;
+                    while cut < n {
+                        cut = (cut + step).min(n);
+                        let stats = stats_of(&records[..cut]);
+                        state.replay(&stats);
+                        assert_eq!(state.decided(), cut);
+                        assert_eq!(
+                            pass_bits(state.pass()),
+                            pass_bits(&replay_record_by_record(&table, &stats, opts)),
+                            "{opts:?} step {step} cut {cut}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

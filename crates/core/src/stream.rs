@@ -16,18 +16,22 @@
 //!    added work. It takes a run of equal ASNs at a time: one slot
 //!    lookup and one bucket lookup per run, not per record, then the
 //!    run's latencies appended and counted per band edge (DESIGN §3
-//!    has the measured costs). Accumulators merge in chunk order, so
-//!    every bucket and the slot column hold their entries in record
-//!    order — byte-identical to a serial row-at-a-time fold — and the
-//!    integer counts add up exactly.
+//!    has the measured costs). One worker folds every chunk straight
+//!    into the accumulator; more fold chunks into partials merged in
+//!    chunk order. Either way every bucket and the slot column hold
+//!    their entries in record order — byte-identical to a serial
+//!    row-at-a-time fold — and the integer counts add up exactly.
 //! 2. **Accept replay** — an accept decision reads a record's ASN and
 //!    p5 latency only, and pass 1 kept both in record order. So the
 //!    records are not streamed again: [`AcceptState`] walks the slot
 //!    column with one cursor per slot into the per-ASN buckets and
-//!    decides each record through the
-//!    [`AcceptTable`](crate::accept::AcceptTable) that stages 3–3c
-//!    derive from pass 1 (the one derivation, `StageCache`, here on a
-//!    fresh cache), emitting per-operator counts plus a compact
+//!    decides through the [`AcceptTable`](crate::accept::AcceptTable)
+//!    that stages 3–3c derive from pass 1 (the one derivation,
+//!    `StageCache`, here on a fresh cache). A rule that reads no
+//!    latency (a LEO operator's accept, an outlier ASN's reject, an
+//!    unmapped ASN) settles its slot's whole run of equal slots at
+//!    once; the MEO floor and the relaxed thresholds compare record by
+//!    record. The replay emits per-operator counts plus a compact
 //!    [`AcceptBitmap`] (one bit per record), and the dense per-record
 //!    vector only when [`StreamOptions`] asks for it.
 //!
@@ -254,19 +258,46 @@ impl AcceptBitmap {
 
     /// Append one record's accept/reject bit.
     pub fn push(&mut self, accepted: bool) {
-        let word = self.len / 64;
-        if word == self.words.len() {
+        if self.len.is_multiple_of(64) {
             self.words.push(0);
         }
-        if accepted {
-            self.words[word] |= 1 << (self.len % 64);
+        if let Some(last) = self.words.last_mut() {
+            *last |= u64::from(accepted) << (self.len % 64);
         }
         self.len += 1;
     }
 
+    /// Append the same bit for a run of `n` records, a word at a time:
+    /// the partly filled last word is topped up, then whole words and
+    /// the run's tail are appended. Equal to `n` [`AcceptBitmap::push`]
+    /// calls.
+    pub fn push_run(&mut self, accepted: bool, n: usize) {
+        let fill = if accepted { u64::MAX } else { 0 };
+        let used = self.len % 64;
+        self.len += n;
+        let mut left = n;
+        if used != 0 {
+            let take = left.min(64 - used);
+            if let Some(last) = self.words.last_mut() {
+                *last |= (fill & low_bits(take)) << used;
+            }
+            left -= take;
+        }
+        if left >= 64 {
+            self.words.resize(self.words.len() + left / 64, fill);
+        }
+        if !left.is_multiple_of(64) {
+            self.words.push(fill & low_bits(left % 64));
+        }
+    }
+
     /// Was record `i` accepted?
     pub fn get(&self, i: usize) -> bool {
-        i < self.len && self.words[i / 64] >> (i % 64) & 1 == 1
+        i < self.len
+            && self
+                .words
+                .get(i / 64)
+                .is_some_and(|word| word >> (i % 64) & 1 == 1)
     }
 
     /// Records recorded.
@@ -282,6 +313,15 @@ impl AcceptBitmap {
     /// Accepted records.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// A word with its low `k` bits set (`k <= 64`).
+fn low_bits(k: usize) -> u64 {
+    if k >= 64 {
+        u64::MAX
+    } else {
+        (1 << k) - 1
     }
 }
 
@@ -373,25 +413,22 @@ impl Pipeline {
         let mapping = map_asns();
         let index = AsnOps::with_bands(&mapping, self.bands);
 
-        // Pass 1: fold each decoded chunk's rows into a statistics
-        // partial. Chunks are mapped to partials on the worker pool and
-        // merged in chunk order on this thread, so every bucket and the
-        // slot column hold their entries in record order —
-        // byte-identical to the serial fold at any thread count.
-        let mut progress = Progress::new(opts.progress_every);
+        // Pass 1: fold each decoded chunk's rows into the statistics.
+        // One worker folds every chunk straight into them; more fold
+        // chunks into partials on the worker pool, merged in chunk order
+        // on this thread. Either way every bucket and the slot column
+        // hold their entries in record order — byte-identical to the
+        // serial fold at any thread count.
         let stats = chunk::par_fold_chunks(
-            source(),
+            Progress {
+                source: source(),
+                every: opts.progress_every,
+                done: 0,
+            },
             self.threads,
             CorpusStats::new(),
-            |chunk| {
-                let mut part = CorpusStats::new();
-                part.observe_records(&index, chunk);
-                part
-            },
-            |stats, part| {
-                progress.advance(part.records);
-                stats.merge(part)
-            },
+            |stats, chunk| stats.observe_records(&index, chunk),
+            |stats, part| *stats = std::mem::take(stats).merge(part),
         );
 
         // Stages 3–3c over the accumulated counts and buckets, folded
@@ -406,29 +443,28 @@ impl Pipeline {
     }
 }
 
-/// Record-count heartbeat state for the statistics pass: prints to
-/// stderr every `every` records (never wall-clock, so the lint's
-/// determinism rules hold), silent when `every == 0`.
-struct Progress {
+/// The statistics pass's source with a record-count heartbeat: prints
+/// to stderr every `every` records the source yields (never wall-clock,
+/// so the lint's determinism rules hold), silent when `every == 0`.
+/// Counting as chunks are pulled prints the same lines at any worker
+/// count.
+struct Progress<C> {
+    source: C,
     every: usize,
     done: usize,
 }
 
-impl Progress {
-    fn new(every: usize) -> Progress {
-        Progress { every, done: 0 }
-    }
+impl<C: RecordChunks> RecordChunks for Progress<C> {
+    type Item = C::Item;
 
-    fn advance(&mut self, records: usize) {
-        if self.every == 0 {
-            self.done += records;
-            return;
-        }
-        let before = self.done / self.every;
-        self.done += records;
-        if self.done / self.every > before {
+    fn next_chunk(&mut self) -> Option<Vec<C::Item>> {
+        let chunk = self.source.next_chunk()?;
+        let before = self.done;
+        self.done += chunk.len();
+        if self.every > 0 && self.done / self.every > before / self.every {
             eprintln!("    [stats pass] {} records", self.done);
         }
+        Some(chunk)
     }
 }
 
@@ -510,6 +546,63 @@ mod tests {
         }
         assert!(!bitmap.get(pattern.len()));
         assert_eq!(bitmap.count_ones(), pattern.iter().filter(|&&b| b).count());
+    }
+
+    /// Length, every bit, the count (which also sees a stray bit above
+    /// the length) and the words (through `Debug`).
+    fn bitmap_bits(bitmap: &AcceptBitmap) -> (usize, Vec<bool>, usize, String) {
+        let bits = (0..bitmap.len()).map(|i| bitmap.get(i)).collect();
+        (
+            bitmap.len(),
+            bits,
+            bitmap.count_ones(),
+            format!("{bitmap:?}"),
+        )
+    }
+
+    #[test]
+    fn bitmap_push_run_equals_pushing_each_bit() {
+        // A run of either bit, 0 to 130 long, from every offset in a
+        // word, after a prefix of either pattern.
+        for offset in 0..64 {
+            for prefix_bit in [false, true] {
+                let mut prefix = AcceptBitmap::new();
+                for i in 0..offset {
+                    prefix.push(prefix_bit || i % 3 == 0);
+                }
+                for bit in [false, true] {
+                    for n in 0..=130 {
+                        let mut bulk = prefix.clone();
+                        bulk.push_run(bit, n);
+                        let mut one = prefix.clone();
+                        for _ in 0..n {
+                            one.push(bit);
+                        }
+                        assert_eq!(
+                            bitmap_bits(&bulk),
+                            bitmap_bits(&one),
+                            "offset {offset} prefix {prefix_bit} bit {bit} n {n}"
+                        );
+                    }
+                }
+            }
+        }
+        // And a long sequence of runs, appended back to back.
+        let mut bulk = AcceptBitmap::new();
+        let mut one = AcceptBitmap::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let n = usize::try_from(state >> 33).unwrap_or(0) % 131;
+            let bit = state >> 32 & 1 == 1;
+            bulk.push_run(bit, n);
+            for _ in 0..n {
+                one.push(bit);
+            }
+        }
+        assert_eq!(bitmap_bits(&bulk), bitmap_bits(&one));
     }
 
     #[test]

@@ -197,32 +197,44 @@ where
     }
 }
 
-/// Fold a chunked stream through a parallel per-chunk `map`, merging
-/// the partial results **in chunk order** on the calling thread.
+/// Fold a chunked stream with `observe`, chunk by chunk, **in chunk
+/// order**, on up to `threads` workers (`0` = auto).
 ///
-/// Chunks are pulled in waves (two per worker, mirroring
-/// [`sharded`]'s wave size), mapped on the [`par`] pool, and folded
-/// left-to-right — so any accumulator whose merge appends per-key
-/// samples sees them in exactly the order a serial
-/// [`RecordChunks::fold_chunks`] pass would produce, at every thread
-/// count. Peak memory is one wave of chunks plus one wave of partials,
-/// never the whole stream.
-pub fn par_fold_chunks<C, Part, Acc, M, G>(
+/// At one resolved worker each chunk is observed straight into the
+/// accumulator as it is pulled: the serial path builds no partials, as
+/// in [`par::shard_map`]. At two or more, chunks are pulled in waves
+/// (two per worker, mirroring [`sharded`]'s wave size), each observed
+/// into a fresh `Acc::default()` partial on the [`par`] pool, and the
+/// partials are merged left-to-right on the calling thread. The two
+/// agree whenever observing a chunk into the accumulator equals merging
+/// in a fresh partial that observed it — true of any accumulator whose
+/// merge appends per-key samples, which then sees them in exactly the
+/// order a serial [`RecordChunks::fold_chunks`] pass would produce, at
+/// every thread count. Peak memory is one wave of chunks plus one wave
+/// of partials, never the whole stream.
+pub fn par_fold_chunks<C, Acc, O, G>(
     mut stream: C,
     threads: usize,
     init: Acc,
-    map: M,
-    mut fold: G,
+    observe: O,
+    mut merge: G,
 ) -> Acc
 where
     C: RecordChunks,
     C::Item: Sync,
-    Part: Send,
-    M: Fn(&[C::Item]) -> Part + Sync,
-    G: FnMut(Acc, Part) -> Acc,
+    Acc: Default + Send,
+    O: Fn(&mut Acc, &[C::Item]) + Sync,
+    G: FnMut(&mut Acc, Acc),
 {
-    let wave_len = par::resolve_threads(threads).max(1) * 2;
     let mut acc = init;
+    let workers = par::resolve_threads(threads).max(1);
+    if workers == 1 {
+        while let Some(chunk) = stream.next_chunk() {
+            observe(&mut acc, &chunk);
+        }
+        return acc;
+    }
+    let wave_len = workers * 2;
     loop {
         let mut wave: Vec<Vec<C::Item>> = Vec::with_capacity(wave_len);
         while wave.len() < wave_len {
@@ -232,11 +244,13 @@ where
             }
         }
         let exhausted = wave.len() < wave_len;
-        if !wave.is_empty() {
-            let parts = par::shard_map(wave.len(), threads, |i| map(&wave[i]));
-            for part in parts {
-                acc = fold(acc, part);
-            }
+        let parts = par::shard_map(wave.len(), workers, |i| {
+            let mut part = Acc::default();
+            observe(&mut part, wave.get(i).map_or(&[], Vec::as_slice));
+            part
+        });
+        for part in parts {
+            merge(&mut acc, part);
         }
         if exhausted {
             return acc;
@@ -344,14 +358,34 @@ mod tests {
                     sharded(37, 1, chunk_len, ragged),
                     threads,
                     Vec::new(),
-                    |chunk: &[usize]| chunk.to_vec(),
-                    |mut acc, part| {
-                        acc.extend(part);
-                        acc
-                    },
+                    |acc: &mut Vec<usize>, chunk: &[usize]| acc.extend_from_slice(chunk),
+                    |acc, part| acc.extend(part),
                 );
                 assert_eq!(got, serial, "threads {threads} chunk {chunk_len}");
             }
+        }
+    }
+
+    #[test]
+    fn par_fold_chunks_merges_partials_only_at_two_or_more_workers() {
+        // One worker observes every chunk straight into the accumulator;
+        // more build one partial per chunk and merge each in.
+        let records = (0..37).flat_map(ragged).count();
+        let chunks = records.div_ceil(3);
+        for (threads, want) in [(1, 0), (2, chunks), (8, chunks)] {
+            let mut merges = 0;
+            let got = par_fold_chunks(
+                sharded(37, 1, 3, ragged),
+                threads,
+                0usize,
+                |acc: &mut usize, chunk: &[usize]| *acc += chunk.len(),
+                |acc, part| {
+                    merges += 1;
+                    *acc += part;
+                },
+            );
+            assert_eq!(got, records, "threads {threads}");
+            assert_eq!(merges, want, "threads {threads}");
         }
     }
 
@@ -361,8 +395,8 @@ mod tests {
             sharded(0, 2, 8, |_| -> Vec<u32> { unreachable!() }),
             4,
             41u64,
-            |chunk: &[u32]| chunk.len() as u64,
-            |acc, part| acc + part,
+            |acc: &mut u64, chunk: &[u32]| *acc += chunk.len() as u64,
+            |acc, part| *acc += part,
         );
         assert_eq!(got, 41);
     }
